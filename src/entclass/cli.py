@@ -19,6 +19,7 @@ Party indices are 1-based on this boundary (r1, r2, r3 in reports,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -267,8 +268,7 @@ def _build_parser() -> _Parser:
 
 
 def _policy_from(args) -> TolerancePolicy:
-    rank_eps = getattr(args, "rank_eps", None)
-    det_eps = getattr(args, "det_eps", None)
+    rank_eps, det_eps = args.rank_eps, args.det_eps
     if rank_eps is None:
         env = os.environ.get(ENV_RANK_EPS)
         rank_eps = float(env) if env else DEFAULT_POLICY.rank_rel_eps
@@ -290,15 +290,13 @@ def _emit(doc: Any, out=None) -> None:
     (out or sys.stdout).write(render(doc) + "\n")
 
 
-def _report(argv: Sequence[str], policy: TolerancePolicy, seed, result: dict) -> dict:
+def _report(argv: Sequence[str], policy: TolerancePolicy | None, seed, result) -> dict:
+    """The report envelope; ``policy`` is None where no tolerance applies."""
     return {
         "schema": SCHEMA,
         "command": list(argv),
         "seed": seed,
-        "tolerances": {
-            "rank_rel_eps": policy.rank_rel_eps,
-            "det_rel_eps": policy.det_rel_eps,
-        },
+        "tolerances": None if policy is None else dataclasses.asdict(policy),
         "result": result,
     }
 
@@ -329,7 +327,6 @@ def _cmd_invariants(argv, args) -> int:
 
 
 def _cmd_monotone(argv, args) -> int:
-    policy = _policy_from(args)
     if args.trials < 1:
         raise UsageError("--trials must be positive")
     seed = _seed_from(args)
@@ -346,12 +343,11 @@ def _cmd_monotone(argv, args) -> int:
         "failures": summary.failures,
         "pass": summary.passed,
     }
-    _emit(_report(argv, policy, seed, result))
+    _emit(_report(argv, None, seed, result))
     return 0 if summary.passed else 1
 
 
 def _cmd_order(argv, args) -> int:
-    policy = _policy_from(args)
     if args.dump == bool(args.from_label and args.to_label):
         raise UsageError("use either --dump or both --from and --to")
     if args.dump:
@@ -382,31 +378,29 @@ def _cmd_order(argv, args) -> int:
             "witness_chain": None if chain is None else [c.display_name for c in chain],
             "witness": _serialize_operation(witness),
         }
-    _emit(_report(argv, policy, None, result))
+    _emit(_report(argv, None, None, result))
     return 0
 
 
 def _cmd_swap(argv, args) -> int:
-    policy = _policy_from(args)
     branches = entanglement_swap()
     result = {
         "initial_class": ClassLabel.GEN224.display_name,
         "branches": [_serialize_protocol(b) for b in branches],
         "probability_sum": float(sum(b.probability for b in branches)),
     }
-    _emit(_report(argv, policy, None, result))
+    _emit(_report(argv, None, None, result))
     return 0
 
 
 def _cmd_distill(argv, args) -> int:
-    policy = _policy_from(args)
     outcome = distill_from_generic(args.target)
     result = {
         "target": args.target,
         "initial_class": ClassLabel.GEN224.display_name,
         "branch": _serialize_protocol(outcome),
     }
-    _emit(_report(argv, policy, None, result))
+    _emit(_report(argv, None, None, result))
     return 0
 
 
@@ -427,7 +421,6 @@ def _cmd_rep(argv, args) -> int:
 
 
 def _cmd_dim(argv, args) -> int:
-    policy = _policy_from(args)
     try:
         dims = tuple(int(part) for part in args.dims.split(","))
     except ValueError:
@@ -446,7 +439,7 @@ def _cmd_dim(argv, args) -> int:
         "raw": count.raw,
         "nonnegative": count.nonnegative,
     }
-    _emit(_report(argv, policy, None, result))
+    _emit(_report(argv, None, None, result))
     return 0
 
 

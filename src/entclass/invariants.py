@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError, NumericalInstabilityError
-from .numerics import DEFAULT_POLICY, TolerancePolicy, numerical_rank, svd
+from .numerics import DEFAULT_POLICY, TolerancePolicy, svd
 from .tensor import (
     MAX_LEVELS,
     DensityMatrix,
@@ -80,8 +80,8 @@ class InvariantReport:
 
     ``local_ranks`` uses the 1-based party convention (r1, r2, r3).
     ``det222``/``det223`` are present only when the rank-adjusted format
-    admits them (r3 <= 2 and r3 <= 3 respectively); their phases depend on
-    the Clare rotation used for adjustment, so only moduli are contractual.
+    admits them (r3 <= 2 and r3 <= 3; ``det223`` is exactly 0 for r3 <= 2).
+    Their phases depend on the Clare rotation, so only moduli are contractual.
     ``margins`` maps each thresholded decision to its signed distance from
     the threshold (positive = comfortably decided).
     """
@@ -148,37 +148,49 @@ def _require_format(psi: StateTensor, n: int | None = None) -> None:
         raise FormatError(f"expected dims (2, 2, {n}), got {psi.dims}")
 
 
+def _local_spectra(amps: np.ndarray, policy: TolerancePolicy):
+    """Local ranks of a normalized (2, 2, n) amplitude array, their smallest
+    margin, and the reduced SVD (u, s) of the flattened state (the transpose
+    of Clare's unfolding). Unfoldings bypass the matrix cap of ``numerics``.
+
+    The density eigenvalues lambda are squared singular values, so they meet
+    the squared threshold t^2; eigvalsh is exact only to delta = 8 k eps
+    lambda_0 > t^2, so the rank must lie in [#{lambda > t^2 + delta},
+    #{lambda > t^2 - delta}]."""
+    f = amps.reshape(4, amps.shape[2])
+    u, s, _ = np.linalg.svd(f, full_matrices=False)
+    ranks, margins = [], []
+    for party, a in enumerate((_unfolding(amps, 0), _unfolding(amps, 1), f.T)):
+        svals = s if party == 2 else np.linalg.svd(a, compute_uv=False)
+        thr = policy.rank_threshold(float(svals[0]), max(a.shape))
+        rank = int(np.count_nonzero(svals > thr))
+        eigs = np.linalg.eigvalsh(a @ a.conj().T)
+        delta = 8 * a.shape[0] * np.finfo(float).eps * float(eigs[-1])
+        low = int(np.count_nonzero(eigs > thr * thr + delta))
+        high = int(np.count_nonzero(eigs > thr * thr - delta))
+        if not low <= rank <= high:
+            raise NumericalInstabilityError(
+                f"party {party}: unfolding rank {rank} outside the density band "
+                f"[{low}, {high}] (threshold {thr * thr:.3g} +- {delta:.3g})"
+            )
+        ranks.append(rank)
+        margins.append(_rank_margin(svals, rank, thr))
+    return tuple(ranks), min(margins), u, s
+
+
 def local_ranks(
     psi: StateTensor, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> tuple[int, int, int]:
     """Ranks of the three reduced density matrices of a normalized state.
 
-    Computed twice: as the rank of each party-vs-rest unfolding and as the
-    rank of each reduced density matrix. The two routes must agree; a
+    Computed twice: as the rank of each party-vs-rest unfolding and from the
+    spectrum of each reduced density matrix. The two routes must agree; a
     disagreement means the state sits too close to a rank boundary for the
     current tolerance policy.
     """
     _require_format(psi)
     psi.require_normalized(atol=1e-9)
-    ranks = []
-    for party in range(3):
-        a = _unfolding(psi.amplitudes, party)
-        rank_unfold = numerical_rank(a, policy)
-        rho = a @ a.conj().T
-        eigs = np.linalg.eigvalsh(rho)
-        top = float(eigs[-1]) if eigs.size else 0.0
-        if top <= 0.0:
-            rank_rho = 0
-        else:
-            thr = policy.rank_threshold(top, rho.shape[0])
-            rank_rho = int(np.count_nonzero(eigs > thr))
-        if rank_unfold != rank_rho:
-            raise NumericalInstabilityError(
-                f"party {party}: unfolding rank {rank_unfold} != "
-                f"density rank {rank_rho}"
-            )
-        ranks.append(rank_unfold)
-    return tuple(ranks)
+    return _local_spectra(psi.amplitudes, policy)[0]
 
 
 def r_matrix(psi: StateTensor) -> np.ndarray:
@@ -202,7 +214,11 @@ def rank_rtr(
     value would promote pure matmul roundoff to full rank whenever the form
     vanishes identically, as it does on the biseparable classes.
     """
-    f = flatten(psi)
+    return _rank_rtr(flatten(psi), policy)
+
+
+def _rank_rtr(f: np.ndarray, policy: TolerancePolicy) -> RtrResult:
+    """``rank_rtr`` on the flattened 4xn amplitude matrix."""
     r = MAGIC_BASIS @ f
     via_magic = r.T @ r
     via_flip = BILINEAR_SIGN * (f.T @ SPIN_FLIP @ f)
@@ -224,7 +240,11 @@ def det222(psi: StateTensor) -> complex:
     times the two odd-permutation terms.
     """
     _require_format(psi, 2)
-    p = psi.amplitudes
+    return _det222(psi.amplitudes)
+
+
+def _det222(p: np.ndarray) -> complex:
+    """``det222`` on a (2, 2, 2) amplitude array."""
     squares = (
         p[0, 0, 0] ** 2 * p[1, 1, 1] ** 2
         + p[0, 0, 1] ** 2 * p[1, 1, 0] ** 2
@@ -253,7 +273,11 @@ def det223(psi: StateTensor) -> complex:
     of the flattened state (rows indexed by the joint Alice-Bob bit pair).
     """
     _require_format(psi, 3)
-    a = psi.amplitudes
+    return _det223(psi.amplitudes)
+
+
+def _det223(a: np.ndarray) -> complex:
+    """``det223`` on a (2, 2, 3) amplitude array."""
     row = {
         (0, 0): a[0, 0, :],
         (0, 1): a[0, 1, :],
@@ -292,22 +316,16 @@ def adjust_format(
         raise FormatError(f"target Clare dimension {target} out of range")
     f = flatten(psi)
     _, svals, v = svd(f)
-    if svals[0] == 0.0:
-        r3 = 0
-    else:
-        thr = policy.rank_threshold(float(svals[0]), max(f.shape))
-        r3 = int(np.count_nonzero(svals > thr))
+    thr = policy.rank_threshold(float(svals[0]), max(f.shape))
+    r3 = int(np.count_nonzero(svals > thr))
     if target < r3:
         raise FormatError(
             f"target Clare dimension {target} is below the state's rank {r3}"
         )
     # Flattened state maps as F -> F K^T under a Clare factor K, so K = V^T
-    # sends F to U diag(s), concentrating support on the first r3 columns.
-    rotation = v.T
-    if target <= n:
-        clare = rotation[:target, :]
-    else:
-        clare = np.vstack([rotation, np.zeros((target - n, n), dtype=complex)])
+    # sends F to U diag(s), concentrating support on the first r3 columns;
+    # the rectangular identity cuts or zero-pads it to ``target`` levels.
+    clare = np.eye(target, n) @ v.T
     operation = LocalOperation(
         (np.eye(2, dtype=complex), np.eye(2, dtype=complex), clare)
     )
@@ -375,21 +393,13 @@ def nonlocal_dimension(dims, delta: int) -> DimensionCount:
     return DimensionCount(dims, delta, raw, max(raw, 0))
 
 
-def _rank_margin(values: np.ndarray, threshold: float) -> float:
-    """Distance of a rank decision from its threshold.
-
-    The minimum over the gap of the smallest kept value above the threshold
-    and of the largest dropped value below it; large is comfortable.
-    """
-    values = np.asarray(values, dtype=float)
-    kept = values[values > threshold]
-    dropped = values[values <= threshold]
-    gaps = []
-    if kept.size:
-        gaps.append(float(kept.min() - threshold))
-    if dropped.size:
-        gaps.append(float(threshold - dropped.max()))
-    return min(gaps) if gaps else 0.0
+def _rank_margin(svals: np.ndarray, rank: int, threshold: float) -> float:
+    """Distance of a rank decision from its threshold: the smaller gap to the
+    smallest kept and to the largest dropped of the descending ``svals``."""
+    gaps = [float(svals[rank - 1]) - threshold] if rank else []
+    if rank < len(svals):
+        gaps.append(threshold - float(svals[rank]))
+    return min(gaps, default=0.0)
 
 
 def invariant_report(
@@ -397,43 +407,34 @@ def invariant_report(
 ) -> InvariantReport:
     """Assemble the full invariant suite for a (2, 2, n) state.
 
-    The state is normalized internally (the original norm is recorded);
-    determinant invariants are computed on the rank-adjusted formats when
-    those formats apply.
+    The state is normalized internally (the original norm is recorded).
+    The SVD F = U diag(s) V^dagger of the flattened state gives Clare's rank
+    r3 and, via her unitary V^T, the rank-adjusted state U[:, :r3] diag(s[:r3])
+    zero-padded to 2 or 3 levels, on which the determinants are evaluated.
     """
     _require_format(psi)
     norm = psi.norm
-    psin = psi if psi.is_normalized() else psi.normalize()
-
-    ranks = local_ranks(psin, policy)
-    rtr = rank_rtr(psin, policy)
+    amps = psi.amplitudes / norm
+    if not np.isfinite(amps).all():
+        raise FormatError(f"normalizing by {norm:.6g} left non-finite amplitudes")
+    ranks, local_margin, u, s = _local_spectra(amps, policy)
+    rtr = _rank_rtr(amps.reshape(4, -1), policy)
+    rtr_thr = policy.rank_threshold(1.0, len(rtr.singular_values))
+    margins = {
+        "local_ranks": local_margin,
+        "rank_rtr": _rank_margin(rtr.singular_values, rtr.rank, rtr_thr),
+    }
+    # Adjusted states have unit norm, up to the dropped sub-threshold weight.
     r3 = ranks[2]
-
-    margins: dict[str, float] = {}
-
-    rank_margins = []
-    for party in range(3):
-        a = _unfolding(psin.amplitudes, party)
-        svals = np.linalg.svd(a, compute_uv=False)
-        thr = policy.rank_threshold(float(svals[0]), max(a.shape))
-        rank_margins.append(_rank_margin(svals, thr))
-    margins["local_ranks"] = min(rank_margins)
-    rtr_svals = np.asarray(rtr.singular_values)
-    margins["rank_rtr"] = _rank_margin(
-        rtr_svals, policy.rank_threshold(1.0, rtr_svals.size)
-    )
-
-    det222_val: complex | None = None
-    det223_val: complex | None = None
+    det222_val = det223_val = None
     if r3 <= 2:
-        adjusted2, _ = adjust_format(psin, 2, policy)
-        det222_val = det222(adjusted2)
-        margins["det222"] = abs(det222_val) - policy.det_threshold(adjusted2.norm, 4)
+        adjusted = np.zeros((4, 2), dtype=complex)
+        adjusted[:, :r3] = u[:, :r3] * s[:r3]
+        det222_val = _det222(adjusted.reshape(2, 2, 2))
+        margins["det222"] = abs(det222_val) - policy.det_threshold(1.0, 4)
     if r3 <= 3:
-        adjusted3, _ = adjust_format(psin, 3, policy)
-        det223_val = det223(adjusted3)
-        margins["det223"] = abs(det223_val) - policy.det_threshold(adjusted3.norm, 6)
-
+        det223_val = _det223((u[:, :3] * s[:3]).reshape(2, 2, 3)) if r3 == 3 else 0j
+        margins["det223"] = abs(det223_val) - policy.det_threshold(1.0, 6)
     return InvariantReport(
         local_ranks=ranks,
         rank_rtr=rtr.rank,

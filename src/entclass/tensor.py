@@ -98,7 +98,12 @@ class StateTensor:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        norm = float(np.linalg.norm(self.amplitudes))
+        if not 1e-150 < norm < 1e150:
+            # Under- or overflow: rescale by the (finite, nonzero) largest modulus.
+            scale = float(np.abs(self.amplitudes).max())
+            norm = scale * float(np.linalg.norm(self.amplitudes / scale))
+        return norm
 
     def is_normalized(self, atol: float = _NORM_ATOL) -> bool:
         return abs(self.norm**2 - 1.0) <= atol
@@ -318,8 +323,8 @@ def unflatten(matrix) -> StateTensor:
 
 def _unfolding(amplitudes: np.ndarray, party: int) -> np.ndarray:
     """Party-vs-rest coefficient matrix, shape (k_party, rest)."""
-    moved = np.moveaxis(amplitudes, party, 0)
-    return moved.reshape(moved.shape[0], -1)
+    rest = [p for p in range(amplitudes.ndim) if p != party]
+    return amplitudes.transpose(party, *rest).reshape(amplitudes.shape[party], -1)
 
 
 def reduced_density(psi: StateTensor, party: int) -> DensityMatrix:

@@ -256,3 +256,34 @@ def test_classify_n1_states():
     assert ec.classify(bell_n1)[0] == ec.ClassLabel.B3
     sep_n1 = ec.make_state((2, 2, 1), {(0, 0, 0): 1})
     assert ec.classify(sep_n1)[0] == ec.ClassLabel.SEP
+
+
+# ---------------------------------------------------------------------------
+# the documented domain: rank boundaries, Clare dimension, scale
+
+
+@pytest.mark.parametrize("eps", np.logspace(-8, -3, 16))
+def test_b3_plus_small_w_is_w(eps):
+    # The singular-value and density routes to the local ranks must agree
+    # across the band where s/s0 is small but above the rank threshold.
+    b3, w = rep("B3"), rep("W")
+    psi = ec.StateTensor((2, 2, 2), b3.amplitudes + eps * w.amplitudes)
+    assert ec.classify(psi)[0] == ec.ClassLabel.W
+
+
+@pytest.mark.parametrize("n", [9, 16])
+@pytest.mark.parametrize("label", ALL_LABELS, ids=lambda l: l.name)
+def test_large_clare_dimension(label, n):
+    got, report = ec.classify(ec.representative(label, n))
+    assert got == label
+    assert report.local_ranks == label.rank_signature
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+@pytest.mark.parametrize("name", ["GHZ", "C223_GEN"])
+def test_classify_at_the_ends_of_the_float_range(name, scale):
+    psi = rep(name)
+    scaled = ec.StateTensor(psi.dims, psi.amplitudes * scale)
+    got, report = ec.classify(scaled)
+    assert got == ec.ClassLabel.parse(name)
+    assert report.norm == pytest.approx(scale)

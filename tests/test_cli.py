@@ -255,3 +255,21 @@ def test_rep_stdout_pipes_into_classify(capsys, tmp_path, monkeypatch):
     code, out, err = invoke(["classify", "--in", "-"], capsys)
     assert code == 0, err
     assert json.loads(out)["result"]["label"] == "W"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["swap"],
+        ["distill", "--target", "GHZ"],
+        ["order", "--from", "GHZ", "--to", "B1"],
+        ["dim", "--dims", "2,2,4"],
+        ["monotone", "--measure", "det222", "--trials", "5", "--seed", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_tolerances_reported_only_where_used(argv, capsys, monkeypatch):
+    monkeypatch.setenv("ENTCLASS_RANK_EPS", "1e-7")
+    code, out, err = invoke(argv, capsys)
+    assert code == 0, err
+    assert json.loads(out)["tolerances"] is None

@@ -233,3 +233,11 @@ def test_state_amplitudes_frozen():
     psi = ec.representative("GHZ", 2)
     with pytest.raises(ValueError):
         psi.amplitudes[0, 0, 0] = 9.9
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+def test_norm_is_scale_free(scale):
+    psi = ec.representative("GHZ", 2)
+    scaled = ec.StateTensor(psi.dims, psi.amplitudes * scale)
+    assert scaled.norm == pytest.approx(scale, rel=1e-14)
+    assert scaled.normalize().allclose(psi, atol=1e-15)
