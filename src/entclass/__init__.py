@@ -12,6 +12,8 @@ distillation protocols through the classifier.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .classify import (
     EXPECTED_RANK_RTR,
     LEGAL_SIGNATURES,
@@ -71,6 +73,7 @@ from .monotone import (
     apply_povm,
     check_monotone,
     equality_case_povm,
+    monotone_trial,
     monte_carlo,
     random_povm_pair,
 )
@@ -108,94 +111,9 @@ from .tensor import (
     unflatten,
 )
 
-__all__ = [
-    "__version__",
-    # labels / classification
-    "ClassLabel",
-    "classify",
-    "grade",
-    "hasse_edges",
-    "reachable",
-    "witness_map",
-    "witness_chain",
-    "partial_order",
-    "PartialOrder",
-    "LEGAL_SIGNATURES",
-    "EXPECTED_RANK_RTR",
-    # tensors
-    "StateTensor",
-    "LocalOperation",
-    "DensityMatrix",
-    "make_state",
-    "representative",
-    "apply_local",
-    "flatten",
-    "unflatten",
-    "reduced_density",
-    "reduced_density_pair",
-    "MAX_LEVELS",
-    # numerics
-    "TolerancePolicy",
-    "DEFAULT_POLICY",
-    "RandomSource",
-    "RNG_ALGORITHM",
-    "MAX_MATRIX_DIM",
-    "svd",
-    "numerical_rank",
-    "random_sl",
-    "random_unitary",
-    "random_state",
-    # invariants
-    "InvariantReport",
-    "RtrResult",
-    "CkwReport",
-    "DimensionCount",
-    "MAGIC_BASIS",
-    "SPIN_FLIP",
-    "BILINEAR_SIGN",
-    "DET_DEGREES",
-    "KNOWN_STABILIZER_DIMS",
-    "invariant_report",
-    "local_ranks",
-    "r_matrix",
-    "rank_rtr",
-    "det222",
-    "det223",
-    "adjust_format",
-    "concurrence",
-    "three_tangle",
-    "ckw_residual",
-    "nonlocal_dimension",
-    # monotone
-    "PovmPair",
-    "Outcome",
-    "OutcomeEnsemble",
-    "MonotoneCheck",
-    "AmgmBounds",
-    "MonteCarloSummary",
-    "MEASURES",
-    "random_povm_pair",
-    "equality_case_povm",
-    "apply_povm",
-    "check_monotone",
-    "amgm_bound_report",
-    "monte_carlo",
-    # protocols
-    "ProtocolOutcome",
-    "BELL_VECTORS",
-    "two_bell",
-    "entanglement_swap",
-    "distill_ghz_branches",
-    "distill_from_generic",
-    # errors
-    "EntclassError",
-    "FormatError",
-    "ZeroStateError",
-    "AnnihilationError",
-    "NormalizationError",
-    "SignatureError",
-    "NumericalInstabilityError",
-    "AmbiguityError",
-    "ProofChainError",
-    "StateFileError",
+#: Every public name imported above; submodules are not exports.
+__all__ = ["__version__"] + [
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -348,39 +348,53 @@ def amgm_bound_report(psi: StateTensor, pair: PovmPair, measure: str) -> AmgmBou
     return AmgmBounds(reduced_sum, majorant)
 
 
+def monotone_trial(
+    measure: str, seed: int, trial: int, party: int | None = None
+) -> MonotoneCheck:
+    """Trial ``trial`` of ``monte_carlo(measure, trials, seed, party)``, alone.
+
+    The only code that turns ``(seed, trial)`` into draws: from the Philox
+    substream ``RandomSource(seed, trial)`` it draws the state, then the
+    measured party (uniform over 0, 1, 2 when ``party`` is None), then the
+    POVM pair, and returns ``check_monotone`` of that draw.
+    """
+    _, dims, _ = _measure(measure)
+    if party is not None and not 0 <= party < 3:
+        raise ValueError(f"party must be 0, 1, or 2, got {party}")
+    gen = RandomSource(seed, trial).generator()
+    psi = random_state(dims, gen)
+    p = int(gen.integers(0, 3)) if party is None else party
+    pair = random_povm_pair(dims[p], gen, party=p)
+    return check_monotone(psi, pair, measure)
+
+
 def monte_carlo(
     measure: str,
     trials: int,
     seed: int,
     party: int | None = None,
 ) -> MonteCarloSummary:
-    """Run seeded inequality trials: random state, random pair, random party.
+    """Run ``monotone_trial`` for trials 0 .. trials-1 and summarize them.
 
     Trial t draws everything from the substream (seed, t), so any trial can
-    be replayed in isolation and the aggregate is schedule-independent.
-    A failure is a slack below -1e-9 * |measure before|.
+    be replayed in isolation with ``monotone_trial(measure, seed, t, party)``
+    and the aggregate is schedule-independent. A failure is a trial that
+    ``check_monotone`` does not pass: slack < -(1e-9*|before| + 1e-14).
     """
-    _, dims, _ = _measure(measure)
+    _measure(measure)
     if trials < 1:
         raise ValueError("trials must be positive")
-    if party is not None and not 0 <= party < 3:
-        raise ValueError(f"party must be 0, 1, or 2, got {party}")
     min_slack = math.inf
     min_trial = -1
     min_before = math.nan
     failures = 0
     for t in range(trials):
-        gen = RandomSource(seed, t).generator()
-        psi = random_state(dims, gen)
-        p = int(gen.integers(0, 3)) if party is None else party
-        pair = random_povm_pair(dims[p], gen, party=p)
-        chk = check_monotone(psi, pair, measure)
+        chk = monotone_trial(measure, seed, t, party)
         if chk.slack < min_slack:
             min_slack = chk.slack
             min_trial = t
             min_before = chk.before
-        if chk.slack < -1e-9 * chk.before:
-            failures += 1
+        failures += not chk.passed
     return MonteCarloSummary(
         measure=measure,
         trials=trials,

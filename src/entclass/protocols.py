@@ -72,6 +72,16 @@ def two_bell() -> StateTensor:
     return make_state((2, 2, 4), entries)
 
 
+def _clare_branch(
+    base: StateTensor, name: str, element: np.ndarray, recovery: LocalOperation | None
+) -> ProtocolOutcome:
+    """Apply Clare's measurement element to ``base`` and classify the branch."""
+    raw = apply_local(LocalOperation((_I2, _I2, element)), base)
+    post = raw.normalize()
+    label, _ = classify(post)
+    return ProtocolOutcome(name, raw.norm**2, post, label, recovery)
+
+
 def entanglement_swap() -> list[ProtocolOutcome]:
     """Clare measures her two qubits in the Bell basis.
 
@@ -80,26 +90,15 @@ def entanglement_swap() -> list[ProtocolOutcome]:
     branch recovery rotates that pair to the canonical form.
     """
     base = two_bell()
-    outcomes = []
-    for name, vector in BELL_VECTORS:
-        projector = np.outer(vector, vector.conj())
-        branch = apply_local(
-            LocalOperation((_I2, _I2, projector)), base
+    return [
+        _clare_branch(
+            base,
+            name,
+            np.outer(vector, vector.conj()),
+            LocalOperation((*_BELL_RECOVERY[name], _I4)),
         )
-        probability = branch.norm**2
-        post = branch.normalize()
-        label, _ = classify(post)
-        rec_a, rec_b = _BELL_RECOVERY[name]
-        outcomes.append(
-            ProtocolOutcome(
-                branch=name,
-                probability=probability,
-                post_state=post,
-                post_class=label,
-                recovery=LocalOperation((rec_a, rec_b, _I4)),
-            )
-        )
-    return outcomes
+        for name, vector in BELL_VECTORS
+    ]
 
 
 #: Clare-side maps (4 -> 2 levels) steering the two-Bell state downward.
@@ -118,25 +117,10 @@ def distill_ghz_branches() -> list[ProtocolOutcome]:
     two-Bell state creates the GHZ class with probability 1.
     """
     base = two_bell()
-    branches = []
-    for name, element, recovery in (
-        ("ghz-direct", _GHZ_ELEMENT, None),
-        ("ghz-flipped", _GHZ_COMPLEMENT, LocalOperation((_I2, _X, _I2))),
-    ):
-        raw = apply_local(LocalOperation((_I2, _I2, element)), base)
-        probability = raw.norm**2
-        post = raw.normalize()
-        label, _ = classify(post)
-        branches.append(
-            ProtocolOutcome(
-                branch=name,
-                probability=probability,
-                post_state=post,
-                post_class=label,
-                recovery=recovery,
-            )
-        )
-    return branches
+    return [
+        _clare_branch(base, "ghz-direct", _GHZ_ELEMENT, None),
+        _clare_branch(base, "ghz-flipped", _GHZ_COMPLEMENT, LocalOperation((_I2, _X, _I2))),
+    ]
 
 
 def distill_from_generic(target: ClassLabel | str) -> ProtocolOutcome:
@@ -153,16 +137,5 @@ def distill_from_generic(target: ClassLabel | str) -> ProtocolOutcome:
     if key == "GHZ":
         return distill_ghz_branches()[0]
     if key == "W":
-        base = two_bell()
-        raw = apply_local(LocalOperation((_I2, _I2, _W_ELEMENT)), base)
-        probability = raw.norm**2
-        post = raw.normalize()
-        label, _ = classify(post)
-        return ProtocolOutcome(
-            branch="w-direct",
-            probability=probability,
-            post_state=post,
-            post_class=label,
-            recovery=None,
-        )
+        return _clare_branch(two_bell(), "w-direct", _W_ELEMENT, None)
     raise FormatError(f"unknown distillation target {target!r}")

@@ -105,16 +105,20 @@ class StateTensor:
             norm = scale * float(np.linalg.norm(self.amplitudes / scale))
         return norm
 
+    # The norm is squared by multiplication: a huge norm gives inf, where
+    # ``**`` would raise OverflowError.
     def is_normalized(self, atol: float = _NORM_ATOL) -> bool:
-        return abs(self.norm**2 - 1.0) <= atol
+        norm = self.norm
+        return abs(norm * norm - 1.0) <= atol
 
     def normalize(self) -> "StateTensor":
         return StateTensor(self.dims, self.amplitudes / self.norm)
 
     def require_normalized(self, atol: float = 1e-9) -> None:
-        if abs(self.norm**2 - 1.0) > atol:
+        if not self.is_normalized(atol):
+            norm = self.norm
             raise NormalizationError(
-                f"state has squared norm {self.norm**2:.6g}, expected 1"
+                f"state has squared norm {norm * norm:.6g}, expected 1"
             )
 
     def allclose(self, other: "StateTensor", atol: float = 1e-12) -> bool:

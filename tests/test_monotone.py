@@ -309,3 +309,41 @@ def test_monte_carlo_fixed_party():
     summary = ec.monte_carlo("det223", 200, seed=3, party=2)
     assert summary.party == 2
     assert summary.trials == 200
+
+
+@pytest.mark.parametrize("party", [None, 0, 2])
+@pytest.mark.parametrize("measure", sorted(ec.MEASURES))
+def test_monotone_trial_matches_hand_rolled_draw(measure, party):
+    # The documented draw order, written out independently of the kernel.
+    _, dims, _ = ec.MEASURES[measure]
+    for t in (0, 1, 57):
+        g = ec.RandomSource(5, t).generator()
+        psi = ec.random_state(dims, g)
+        p = int(g.integers(0, 3)) if party is None else party
+        pair = ec.random_povm_pair(dims[p], g, party=p)
+        want = ec.check_monotone(psi, pair, measure)
+        got = ec.monotone_trial(measure, 5, t, party)
+        assert (got.slack, got.before, got.passed) == (
+            want.slack, want.before, want.passed,
+        )
+        assert got.ensemble.measure_after == want.ensemble.measure_after
+        for mine, ref in zip(got.ensemble.outcomes, want.ensemble.outcomes):
+            # Equal outcome states mean the same party and the same pair.
+            assert mine.probability == ref.probability
+            assert np.array_equal(mine.state.amplitudes, ref.state.amplitudes)
+
+
+def test_monotone_trial_rejects_party_out_of_range():
+    with pytest.raises(ValueError, match="party"):
+        ec.monotone_trial("det222", 1, 0, party=3)
+
+
+def test_monte_carlo_counts_what_the_trial_kernel_fails():
+    summary = ec.monte_carlo("det223", 600, seed=11)
+    checks = [ec.monotone_trial("det223", 11, t) for t in range(600)]
+    assert summary.failures == 8
+    assert summary.failures == sum(not chk.passed for chk in checks)
+    worst = min(range(600), key=lambda t: checks[t].slack)
+    assert summary.min_slack_trial == worst
+    assert summary.min_slack == checks[worst].slack
+    assert summary.min_slack_before == checks[worst].before

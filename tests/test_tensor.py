@@ -241,3 +241,22 @@ def test_norm_is_scale_free(scale):
     scaled = ec.StateTensor(psi.dims, psi.amplitudes * scale)
     assert scaled.norm == pytest.approx(scale, rel=1e-14)
     assert scaled.normalize().allclose(psi, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        ec.local_ranks,
+        ec.three_tangle,
+        ec.ckw_residual,
+        lambda psi: ec.reduced_density(psi, 0),
+    ],
+    ids=["local_ranks", "three_tangle", "ckw_residual", "reduced_density"],
+)
+def test_huge_norm_raises_normalization_error(check):
+    # Squaring a norm of 1e300 overflows; the check must still report the
+    # unnormalized state rather than an arithmetic error.
+    psi = ec.representative("GHZ", 2)
+    scaled = ec.StateTensor(psi.dims, psi.amplitudes * 1e300)
+    with pytest.raises(NormalizationError, match="squared norm inf"):
+        check(scaled)
