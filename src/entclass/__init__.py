@@ -64,6 +64,7 @@ from .labels import ClassLabel
 from .monotone import (
     MEASURES,
     AmgmBounds,
+    MonotoneBatch,
     MonotoneCheck,
     MonteCarloSummary,
     Outcome,
@@ -73,6 +74,7 @@ from .monotone import (
     apply_povm,
     check_monotone,
     equality_case_povm,
+    monotone_batch,
     monotone_trial,
     monte_carlo,
     random_povm_pair,

@@ -8,19 +8,33 @@ probabilities summing to one; the averaged measure after the measurement
 must not exceed the measure before. The white-box report additionally
 evaluates the internal steps of that argument (the reduced inequality in
 the diagonal frame and its arithmetic-geometric-mean majorant).
+
+One engine evaluates the check for a stack of states: per measured party,
+one stacked QR draws the unitaries, one batched matmul builds both POVM
+elements and another applies them, and the measure is evaluated once for
+the stack. Seeded trials run through it in blocks; ``check_monotone``,
+``apply_povm`` and ``monotone_trial`` are stacks of one, so every route
+computes a trial with the same arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FormatError, ProofChainError
-from .invariants import det222, det223
-from .numerics import RandomSource, _as_generator, random_state, random_unitary
+from .errors import FormatError, NormalizationError, ProofChainError
+from .invariants import _det222, _det223, det222, det223
+from .numerics import (
+    MAX_MATRIX_DIM,
+    RandomSource,
+    _as_generator,
+    _draw_state,
+    _haar,
+    _substreams,
+)
 from .tensor import StateTensor
 
 #: measure name -> (evaluator, required dims, homogeneity degree)
@@ -41,6 +55,9 @@ _DEGENERATE_EPS = 1e-7
 #: relative term is vacuous and polynomial-evaluation roundoff dominates.
 _SLACK_ABS_FLOOR = 1e-14
 
+#: Trials drawn and evaluated together; bounds the engine's working memory.
+_BLOCK = 64
+
 
 def _measure(measure: str):
     try:
@@ -49,6 +66,30 @@ def _measure(measure: str):
         raise FormatError(
             f"unknown measure {measure!r}; expected one of {sorted(MEASURES)}"
         ) from None
+
+
+def _pair_elements(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Validate a stack of pairs and build their elements.
+
+    ``u`` is (G, 3, k, k) holding u1, u2 and v; ``diag`` is (G, 2, k)
+    holding the alphas and the betas. Returns the (G, 2, k, k) elements
+    u_mu diag_mu v.
+    """
+    eye = np.eye(u.shape[-1])
+    unitarity = np.abs(u.conj().swapaxes(-1, -2) @ u - eye).max(axis=(-2, -1))
+    bad = np.flatnonzero((unitarity > 1e-10).any(axis=0))
+    if bad.size:
+        name = ("u1", "u2", "v")[bad[0]]
+        raise FormatError(f"{name} is not unitary within tolerance")
+    if not ((diag >= -1e-12) & (diag <= 1 + 1e-12)).all():
+        raise FormatError("diagonal entries must lie in [0, 1]")
+    if (np.abs(diag[:, 0] ** 2 + diag[:, 1] ** 2 - 1.0) > 1e-10).any():
+        raise FormatError("alpha_i^2 + beta_i^2 must equal 1")
+    elements = u[:, :2] @ (diag[..., None] * u[:, 2:])
+    gram = elements.conj().swapaxes(-1, -2) @ elements
+    if (np.abs(gram[:, 0] + gram[:, 1] - eye).max(axis=(-2, -1)) > 1e-10).any():
+        raise FormatError("POVM elements do not sum to the identity")
+    return elements
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,49 +109,36 @@ class PovmPair:
     betas: tuple[float, ...]
 
     def __post_init__(self):
-        k = len(self.alphas)
-        u1 = np.array(self.u1, dtype=complex)
-        u2 = np.array(self.u2, dtype=complex)
-        v = np.array(self.v, dtype=complex)
         alphas = tuple(float(a) for a in self.alphas)
         betas = tuple(float(b) for b in self.betas)
+        k = len(alphas)
         if len(betas) != k or k < 1:
             raise FormatError("alphas and betas must have equal positive length")
-        eye = np.eye(k)
-        for name, u in (("u1", u1), ("u2", u2), ("v", v)):
-            if u.shape != (k, k):
-                raise FormatError(f"{name} must be {k}x{k}, got {u.shape}")
-            if np.abs(u.conj().T @ u - eye).max() > 1e-10:
-                raise FormatError(f"{name} is not unitary within tolerance")
-        for a, b in zip(alphas, betas):
-            if not (-1e-12 <= a <= 1 + 1e-12 and -1e-12 <= b <= 1 + 1e-12):
-                raise FormatError("diagonal entries must lie in [0, 1]")
-            if abs(a * a + b * b - 1.0) > 1e-10:
-                raise FormatError("alpha_i^2 + beta_i^2 must equal 1")
-        for arr in (u1, u2, v):
-            arr.setflags(write=False)
-        object.__setattr__(self, "u1", u1)
-        object.__setattr__(self, "u2", u2)
-        object.__setattr__(self, "v", v)
+        factors = []
+        for name in ("u1", "u2", "v"):
+            factor = np.array(getattr(self, name), dtype=complex)
+            if factor.shape != (k, k):
+                raise FormatError(f"{name} must be {k}x{k}, got {factor.shape}")
+            factors.append(factor)
+        u = np.array(factors)
+        elements = _pair_elements(u[None], np.array([[alphas, betas]]))[0]
+        u.setflags(write=False)
+        elements.setflags(write=False)
+        object.__setattr__(self, "u1", u[0])
+        object.__setattr__(self, "u2", u[1])
+        object.__setattr__(self, "v", u[2])
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "betas", betas)
-        completeness = (
-            self.element(1).conj().T @ self.element(1)
-            + self.element(2).conj().T @ self.element(2)
-        )
-        if np.abs(completeness - eye).max() > 1e-10:
-            raise FormatError("POVM elements do not sum to the identity")
+        object.__setattr__(self, "_elements", elements)
 
     @property
     def k(self) -> int:
         return len(self.alphas)
 
     def element(self, mu: int) -> np.ndarray:
-        if mu == 1:
-            return self.u1 @ (np.asarray(self.alphas)[:, None] * self.v)
-        if mu == 2:
-            return self.u2 @ (np.asarray(self.betas)[:, None] * self.v)
-        raise FormatError(f"outcome index must be 1 or 2, got {mu}")
+        if mu not in (1, 2):
+            raise FormatError(f"outcome index must be 1 or 2, got {mu}")
+        return self._elements[mu - 1]
 
     def is_diagonal_frame(self, atol: float = 1e-12) -> bool:
         eye = np.eye(self.k)
@@ -172,9 +200,36 @@ class MonteCarloSummary:
         return self.failures == 0
 
 
-def _degenerate(alphas: np.ndarray) -> bool:
-    betas = np.sqrt(np.clip(1.0 - alphas**2, 0.0, 1.0))
-    return float(np.minimum(alphas, betas).max()) < _DEGENERATE_EPS
+@dataclass(frozen=True, eq=False)
+class MonotoneBatch:
+    """Per-trial results of ``monotone_batch``, one row per trial index.
+
+    ``probabilities`` and ``measure_after`` have one column per outcome;
+    ``measure_after`` is 0.0 on a probability-zero branch.
+    """
+
+    trial: np.ndarray
+    before: np.ndarray
+    slack: np.ndarray
+    passed: np.ndarray
+    probabilities: np.ndarray
+    measure_after: np.ndarray
+
+
+def _degenerate(alphas) -> bool:
+    return (
+        max(min(a, math.sqrt(max(1.0 - a * a, 0.0))) for a in alphas)
+        < _DEGENERATE_EPS
+    )
+
+
+def _draw_pair(gen: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """One pair's draws: k uniform diagonals, redrawn while degenerate, then
+    the 6k^2 normals of u1, u2 and v (see ``numerics._haar``)."""
+    alphas = gen.uniform(0.0, 1.0, size=k)
+    while _degenerate(alphas.tolist()):
+        alphas = gen.uniform(0.0, 1.0, size=k)
+    return alphas, gen.standard_normal(6 * k * k)
 
 
 def random_povm_pair(
@@ -187,18 +242,17 @@ def random_povm_pair(
     """
     if k < 2:
         raise FormatError(f"random_povm_pair requires k >= 2, got {k}")
-    gen = _as_generator(rng)
-    alphas = gen.uniform(0.0, 1.0, size=k)
-    while _degenerate(alphas):
-        alphas = gen.uniform(0.0, 1.0, size=k)
-    betas = np.sqrt(1.0 - alphas**2)
+    if k > MAX_MATRIX_DIM:
+        raise FormatError(f"k={k} exceeds cap {MAX_MATRIX_DIM}")
+    alphas, normals = _draw_pair(_as_generator(rng), k)
+    u1, u2, v = _haar(normals.reshape(3, 2, k, k))
     return PovmPair(
         party=int(party),
-        u1=random_unitary(k, gen),
-        u2=random_unitary(k, gen),
-        v=random_unitary(k, gen),
+        u1=u1,
+        u2=u2,
+        v=v,
         alphas=tuple(alphas),
-        betas=tuple(betas),
+        betas=tuple(np.sqrt(1.0 - alphas**2)),
     )
 
 
@@ -225,31 +279,114 @@ def equality_case_povm(k: int, alpha: float, party: int = 0) -> PovmPair:
     )
 
 
+def _apply(psi: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measure every state of the (B, *dims) stack ``psi``.
+
+    ``groups`` holds (party, rows, elements): the rows of ``psi`` measured
+    on ``party`` and their (len(rows), 2, k, k) elements. Returns the
+    outcome probabilities (B, 2), the probability-zero branches (B, 2) and
+    the outcome states (B, 2, *dims), normalized except on those branches.
+    """
+    count, dims = len(psi), psi.shape[1:]
+    if not np.isfinite(psi).all():
+        raise FormatError("amplitudes contain non-finite entries")
+    with np.errstate(over="ignore"):
+        norm_sq = (psi.real**2 + psi.imag**2).reshape(count, -1).sum(axis=1)
+    off = np.flatnonzero(np.abs(norm_sq - 1.0) > 1e-9)
+    if off.size:
+        raise NormalizationError(
+            f"state has squared norm {norm_sq[off[0]]:.6g}, expected 1"
+        )
+    raw = np.empty((count, 2) + dims, dtype=complex)
+    for party, rows, elements in groups:
+        if not 0 <= party < len(dims):
+            raise FormatError(f"party {party} out of range")
+        k = elements.shape[-1]
+        if k != dims[party]:
+            raise FormatError(f"pair acts on dimension {k}, party has {dims[party]}")
+        moved = np.moveaxis(psi[rows], party + 1, 1)
+        out = elements @ moved.reshape(len(moved), 1, k, -1)
+        out = out.reshape(out.shape[:3] + moved.shape[2:])
+        raw[rows] = np.moveaxis(out, 2, party + 2)
+    probabilities = (raw.real**2 + raw.imag**2).reshape(count, 2, -1).sum(axis=2)
+    total = probabilities[:, 0] + probabilities[:, 1]
+    off = np.flatnonzero(np.abs(total - 1.0) > 1e-10)
+    if off.size:
+        raise FormatError(f"outcome probabilities sum to {total[off[0]]}, expected 1")
+    null = probabilities < NULL_BRANCH_EPS
+    # Dividing real and imaginary parts keeps each entry independent of the stack.
+    scale = np.sqrt(np.where(null, 1.0, probabilities))
+    states = raw.view(float) / scale.reshape(scale.shape + (1,) * len(dims))
+    return probabilities, null, states.view(complex)
+
+
+class _Evaluated(NamedTuple):
+    """The engine's per-state arrays for a stack of B states."""
+
+    probabilities: np.ndarray  # (B, 2)
+    null: np.ndarray  # (B, 2) probability-zero branches
+    states: np.ndarray  # (B, 2, *dims) outcome states
+    before: np.ndarray  # (B,)
+    measure_after: np.ndarray  # (B, 2), 0.0 on probability-zero branches
+    after_avg: np.ndarray  # (B,)
+    slack: np.ndarray  # (B,)
+    passed: np.ndarray  # (B,)
+
+
+def _evaluate(measure: str, psi: np.ndarray, groups) -> _Evaluated:
+    """The averaged-measure check for each state of ``psi``, measured as
+    ``groups`` says (see ``_apply``), with the one pass/fail rule: a check
+    passes when its slack is at least -(1e-9*|before| + _SLACK_ABS_FLOOR).
+    """
+    probabilities, null, states = _apply(psi, groups)
+    stacked = np.concatenate([psi[:, None], states], axis=1)
+    if measure == "det222":
+        values = _det222(stacked.reshape(-1, 8).T)
+    else:
+        values = _det223(stacked)
+    values = np.abs(values).reshape(len(psi), 3)
+    before = values[:, 0]
+    after = np.where(null, 0.0, values[:, 1:])
+    after_avg = probabilities[:, 0] * after[:, 0] + probabilities[:, 1] * after[:, 1]
+    slack = before - after_avg
+    passed = slack >= -(1e-9 * before + _SLACK_ABS_FLOOR)
+    return _Evaluated(
+        probabilities, null, states, before, after, after_avg, slack, passed
+    )
+
+
+def _outcomes(probabilities, null, states, row: int) -> tuple[Outcome, Outcome]:
+    dims = states.shape[2:]
+    return tuple(
+        Outcome(
+            float(probabilities[row, mu]),
+            None if null[row, mu] else StateTensor(dims, states[row, mu]),
+        )
+        for mu in (0, 1)
+    )
+
+
+def _check(ev: _Evaluated, row: int, degree: int) -> MonotoneCheck:
+    before = float(ev.before[row])
+    return MonotoneCheck(
+        before=before,
+        after_avg=float(ev.after_avg[row]),
+        slack=float(ev.slack[row]),
+        passed=bool(ev.passed[row]),
+        ensemble=OutcomeEnsemble(
+            outcomes=_outcomes(ev.probabilities, ev.null, ev.states, row),
+            measure_before=before,
+            measure_after=tuple(ev.measure_after[row].tolist()),
+            degree=degree,
+        ),
+    )
+
+
 def apply_povm(psi: StateTensor, pair: PovmPair) -> OutcomeEnsemble:
     """Measure: outcome states element(mu) psi / sqrt(p_mu), p_mu its weight."""
-    psi.require_normalized(atol=1e-9)
-    if not 0 <= pair.party < psi.party_count:
-        raise FormatError(f"party {pair.party} out of range")
-    if pair.k != psi.dims[pair.party]:
-        raise FormatError(
-            f"pair acts on dimension {pair.k}, party has {psi.dims[pair.party]}"
-        )
-    outcomes = []
-    for mu in (1, 2):
-        element = pair.element(mu)
-        raw = psi.amplitudes
-        raw = np.moveaxis(
-            np.tensordot(element, raw, axes=(1, pair.party)), 0, pair.party
-        )
-        p = float(np.linalg.norm(raw) ** 2)
-        if p < NULL_BRANCH_EPS:
-            outcomes.append(Outcome(p, None))
-        else:
-            outcomes.append(Outcome(p, StateTensor(psi.dims, raw / math.sqrt(p))))
-    total = outcomes[0].probability + outcomes[1].probability
-    if abs(total - 1.0) > 1e-10:
-        raise FormatError(f"outcome probabilities sum to {total}, expected 1")
-    return OutcomeEnsemble(outcomes=(outcomes[0], outcomes[1]))
+    groups = [(pair.party, [0], pair._elements[None])]
+    probabilities, null, states = _apply(psi.amplitudes[None], groups)
+    return OutcomeEnsemble(outcomes=_outcomes(probabilities, null, states, 0))
 
 
 def check_monotone(psi: StateTensor, pair: PovmPair, measure: str) -> MonotoneCheck:
@@ -260,31 +397,11 @@ def check_monotone(psi: StateTensor, pair: PovmPair, measure: str) -> MonotoneCh
     violations are allowed) with a tiny absolute floor for states whose
     measure vanishes identically.
     """
-    fn, dims, degree = _measure(measure)
+    _, dims, degree = _measure(measure)
     if psi.dims != dims:
         raise FormatError(f"measure {measure} requires dims {dims}, got {psi.dims}")
-    ensemble = apply_povm(psi, pair)
-    before = abs(fn(psi))
-    after_values = tuple(
-        0.0 if out.state is None else abs(fn(out.state)) for out in ensemble.outcomes
-    )
-    after_avg = sum(
-        out.probability * val for out, val in zip(ensemble.outcomes, after_values)
-    )
-    slack = before - after_avg
-    passed = slack >= -(1e-9 * before + _SLACK_ABS_FLOOR)
-    return MonotoneCheck(
-        before=before,
-        after_avg=after_avg,
-        slack=slack,
-        passed=passed,
-        ensemble=replace(
-            ensemble,
-            measure_before=before,
-            measure_after=after_values,
-            degree=degree,
-        ),
-    )
+    groups = [(pair.party, [0], pair._elements[None])]
+    return _check(_evaluate(measure, psi.amplitudes[None], groups), 0, degree)
 
 
 def _block_norms(psi: StateTensor, party: int) -> np.ndarray:
@@ -348,24 +465,72 @@ def amgm_bound_report(psi: StateTensor, pair: PovmPair, measure: str) -> AmgmBou
     return AmgmBounds(reduced_sum, majorant)
 
 
+def _run_block(measure: str, seed: int, trials, party: int | None) -> _Evaluated:
+    """Draw and evaluate the given trials of ``(measure, seed, party)``.
+
+    Trial t draws from the Philox substream (seed, t), in this order: the
+    state, the measured party (uniform over 0, 1, 2 when ``party`` is
+    None), then the pair's diagonals and unitaries.
+    """
+    _, dims, _ = _measure(measure)
+    if party is not None and not 0 <= party < 3:
+        raise ValueError(f"party must be 0, 1, or 2, got {party}")
+    # Raises ValueError unless the seed and every trial index fit in 64 bits.
+    RandomSource(seed, min(trials))
+    RandomSource(seed, max(trials))
+    size = math.prod(dims)
+    psi = np.empty((len(trials), size), dtype=complex)
+    drawn = {p: [] for p in range(3)}
+    for row, gen in enumerate(_substreams(seed, trials)):
+        psi[row] = _draw_state(gen, size)
+        p = int(gen.integers(0, 3)) if party is None else party
+        drawn[p].append((row, *_draw_pair(gen, dims[p])))
+    groups = []
+    for p, draws in drawn.items():
+        if draws:
+            rows, alphas, normals = zip(*draws)
+            k = dims[p]
+            alphas = np.array(alphas)
+            diag = np.stack([alphas, np.sqrt(1.0 - alphas**2)], axis=1)
+            u = _haar(np.array(normals).reshape(-1, 3, 2, k, k))
+            groups.append((p, list(rows), _pair_elements(u, diag)))
+    return _evaluate(measure, psi.reshape((len(trials),) + dims), groups)
+
+
 def monotone_trial(
     measure: str, seed: int, trial: int, party: int | None = None
 ) -> MonotoneCheck:
     """Trial ``trial`` of ``monte_carlo(measure, trials, seed, party)``, alone.
 
-    The only code that turns ``(seed, trial)`` into draws: from the Philox
-    substream ``RandomSource(seed, trial)`` it draws the state, then the
-    measured party (uniform over 0, 1, 2 when ``party`` is None), then the
-    POVM pair, and returns ``check_monotone`` of that draw.
+    From the Philox substream ``RandomSource(seed, trial)`` it draws the
+    state (as ``random_state``), then the measured party (uniform over 0, 1,
+    2 when ``party`` is None), then the POVM pair (as ``random_povm_pair``),
+    and returns ``check_monotone`` of that draw. It runs the engine on a
+    block of one, so it reproduces the batch and ``monte_carlo`` bit for bit.
     """
-    _, dims, _ = _measure(measure)
-    if party is not None and not 0 <= party < 3:
-        raise ValueError(f"party must be 0, 1, or 2, got {party}")
-    gen = RandomSource(seed, trial).generator()
-    psi = random_state(dims, gen)
-    p = int(gen.integers(0, 3)) if party is None else party
-    pair = random_povm_pair(dims[p], gen, party=p)
-    return check_monotone(psi, pair, measure)
+    _, _, degree = _measure(measure)
+    return _check(_run_block(measure, seed, [trial], party), 0, degree)
+
+
+def monotone_batch(
+    measure: str, seed: int, trials, party: int | None = None
+) -> MonotoneBatch:
+    """``monotone_trial`` for each trial index in ``trials``, as arrays.
+
+    Row i holds the same numbers as ``monotone_trial(measure, seed,
+    trials[i], party)``. The engine works on blocks of 64 trials, so its
+    working memory does not grow with the number of trials.
+    """
+    trials = [int(t) for t in trials]
+    if not trials:
+        raise ValueError("trials must not be empty")
+    parts = [
+        _run_block(measure, seed, trials[start : start + _BLOCK], party)
+        for start in range(0, len(trials), _BLOCK)
+    ]
+    fields = ("before", "slack", "passed", "probabilities", "measure_after")
+    columns = {f: np.concatenate([getattr(ev, f) for ev in parts]) for f in fields}
+    return MonotoneBatch(trial=np.array(trials, dtype=np.uint64), **columns)
 
 
 def monte_carlo(
@@ -374,12 +539,14 @@ def monte_carlo(
     seed: int,
     party: int | None = None,
 ) -> MonteCarloSummary:
-    """Run ``monotone_trial`` for trials 0 .. trials-1 and summarize them.
+    """Run trials 0 .. trials-1 and summarize them.
 
     Trial t draws everything from the substream (seed, t), so any trial can
     be replayed in isolation with ``monotone_trial(measure, seed, t, party)``
-    and the aggregate is schedule-independent. A failure is a trial that
-    ``check_monotone`` does not pass: slack < -(1e-9*|before| + 1e-14).
+    and the aggregate is schedule-independent. Trials run through
+    ``monotone_batch`` one block at a time, and only the running summary is
+    kept. A failure is a trial that ``check_monotone`` does not pass:
+    slack < -(1e-9*|before| + 1e-14).
     """
     _measure(measure)
     if trials < 1:
@@ -388,13 +555,14 @@ def monte_carlo(
     min_trial = -1
     min_before = math.nan
     failures = 0
-    for t in range(trials):
-        chk = monotone_trial(measure, seed, t, party)
-        if chk.slack < min_slack:
-            min_slack = chk.slack
-            min_trial = t
-            min_before = chk.before
-        failures += not chk.passed
+    for start in range(0, trials, _BLOCK):
+        block = range(start, min(start + _BLOCK, trials))
+        batch = monotone_batch(measure, seed, block, party)
+        i = int(np.argmin(batch.slack))
+        if batch.slack[i] < min_slack:
+            min_slack, min_trial = float(batch.slack[i]), start + i
+            min_before = float(batch.before[i])
+        failures += int(np.count_nonzero(~batch.passed))
     return MonteCarloSummary(
         measure=measure,
         trials=trials,

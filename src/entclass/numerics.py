@@ -15,6 +15,7 @@ embarrassingly parallel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,18 +144,51 @@ def random_sl(k: int, rng: RandomSource | np.random.Generator) -> np.ndarray:
     raise RuntimeError("could not draw a nonsingular matrix in 100 attempts")
 
 
+def _substreams(seed: int, streams):
+    """One generator rekeyed to (seed, s) for each stream s in turn.
+
+    It yields the draws of ``RandomSource(seed, s).generator()``; resetting
+    the key of one Philox is cheaper than building a generator per stream.
+    """
+    key = np.array([seed, 0], dtype=np.uint64)
+    bit_generator = np.random.Philox(key=key)
+    state = bit_generator.state
+    state["state"]["key"] = key
+    gen = np.random.Generator(bit_generator)
+    for stream in streams:
+        key[1] = stream
+        bit_generator.state = state
+        yield gen
+
+
+def _haar(normals: np.ndarray) -> np.ndarray:
+    """Haar unitaries from (..., 2, k, k) standard normals, real parts first:
+    one QR over the whole stack, then the phase fix."""
+    z = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d[np.abs(d) < 1e-300] = 1.0
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def random_unitary(k: int, rng: RandomSource | np.random.Generator) -> np.ndarray:
     """A Haar-distributed k x k unitary (Gaussian + QR with phase fix)."""
     if k < 1:
         raise FormatError(f"random_unitary requires k >= 1, got {k}")
     if k > MAX_MATRIX_DIM:
         raise FormatError(f"k={k} exceeds cap {MAX_MATRIX_DIM}")
-    gen = _as_generator(rng)
-    z = (gen.standard_normal((k, k)) + 1j * gen.standard_normal((k, k))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
-    d[np.abs(d) < 1e-300] = 1.0
-    return q * (d / np.abs(d))
+    return _haar(_as_generator(rng).standard_normal((2, k, k)))
+
+
+def _draw_state(gen: np.random.Generator, size: int) -> np.ndarray:
+    """One state's draw: 2*size standard normals (real parts, then imaginary
+    parts), redrawn while their norm is below 1e-150, then normalized."""
+    while True:
+        x = gen.standard_normal(2 * size)
+        sq = float(x @ x)
+        if sq > 1e-300:
+            x /= math.sqrt(sq)
+            return x[:size] + 1j * x[size:]
 
 
 def random_state(
@@ -166,9 +200,4 @@ def random_state(
     for their format.
     """
     dims = tuple(int(k) for k in dims)
-    gen = _as_generator(rng)
-    while True:
-        amps = gen.standard_normal(dims) + 1j * gen.standard_normal(dims)
-        norm = np.linalg.norm(amps)
-        if norm > 1e-150:
-            return StateTensor(dims, amps / norm)
+    return StateTensor(dims, _draw_state(_as_generator(rng), math.prod(dims)))

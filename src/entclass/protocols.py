@@ -73,13 +73,21 @@ def two_bell() -> StateTensor:
 
 
 def _clare_branch(
-    base: StateTensor, name: str, element: np.ndarray, recovery: LocalOperation | None
+    base: StateTensor, name: str, element: np.ndarray, recovery: tuple | None
 ) -> ProtocolOutcome:
-    """Apply Clare's measurement element to ``base`` and classify the branch."""
+    """Apply Clare's measurement element to ``base`` and classify the branch;
+    ``recovery`` holds the factors of the branch's recovery, if any."""
     raw = apply_local(LocalOperation((_I2, _I2, element)), base)
     post = raw.normalize()
     label, _ = classify(post)
+    if recovery is not None:
+        recovery = LocalOperation(recovery)
     return ProtocolOutcome(name, raw.norm**2, post, label, recovery)
+
+
+def _bell_branch(name: str, vector: np.ndarray) -> tuple:
+    """Clare's Bell-measurement branch ``name``: its element and recovery factors."""
+    return name, np.outer(vector, vector.conj()), (*_BELL_RECOVERY[name], _I4)
 
 
 def entanglement_swap() -> list[ProtocolOutcome]:
@@ -90,15 +98,7 @@ def entanglement_swap() -> list[ProtocolOutcome]:
     branch recovery rotates that pair to the canonical form.
     """
     base = two_bell()
-    return [
-        _clare_branch(
-            base,
-            name,
-            np.outer(vector, vector.conj()),
-            LocalOperation((*_BELL_RECOVERY[name], _I4)),
-        )
-        for name, vector in BELL_VECTORS
-    ]
+    return [_clare_branch(base, *_bell_branch(*bell)) for bell in BELL_VECTORS]
 
 
 #: Clare-side maps (4 -> 2 levels) steering the two-Bell state downward.
@@ -109,6 +109,13 @@ _GHZ_COMPLEMENT = np.array([[0, 1, 0, 0], [0, 0, 1, 0]], dtype=complex)
 _W_ELEMENT = np.array([[0, 1, 1, 0], [1, 0, 0, 0]], dtype=complex) / _SQRT2
 
 
+#: The two branches of the GHZ measurement: name, element, recovery factors.
+_GHZ_BRANCHES = (
+    ("ghz-direct", _GHZ_ELEMENT, None),
+    ("ghz-flipped", _GHZ_COMPLEMENT, (_I2, _X, _I2)),
+)
+
+
 def distill_ghz_branches() -> list[ProtocolOutcome]:
     """The complete two-outcome Clare measurement whose every branch is GHZ.
 
@@ -117,10 +124,7 @@ def distill_ghz_branches() -> list[ProtocolOutcome]:
     two-Bell state creates the GHZ class with probability 1.
     """
     base = two_bell()
-    return [
-        _clare_branch(base, "ghz-direct", _GHZ_ELEMENT, None),
-        _clare_branch(base, "ghz-flipped", _GHZ_COMPLEMENT, LocalOperation((_I2, _X, _I2))),
-    ]
+    return [_clare_branch(base, *branch) for branch in _GHZ_BRANCHES]
 
 
 def distill_from_generic(target: ClassLabel | str) -> ProtocolOutcome:
@@ -129,13 +133,15 @@ def distill_from_generic(target: ClassLabel | str) -> ProtocolOutcome:
     Targets: GHZ (probability 1/2 for the reported branch; the complementary
     branch also lands in the GHZ class, see distill_ghz_branches), W
     (probability 3/8), or BELL_AB (one entanglement-swapping branch,
-    probability 1/4, class B3).
+    probability 1/4, class B3). Only the reported branch is computed.
     """
     key = str(target).strip().upper().replace("-", "_")
     if key == "BELL_AB":
-        return entanglement_swap()[0]
-    if key == "GHZ":
-        return distill_ghz_branches()[0]
-    if key == "W":
-        return _clare_branch(two_bell(), "w-direct", _W_ELEMENT, None)
-    raise FormatError(f"unknown distillation target {target!r}")
+        branch = _bell_branch(*BELL_VECTORS[0])
+    elif key == "GHZ":
+        branch = _GHZ_BRANCHES[0]
+    elif key == "W":
+        branch = ("w-direct", _W_ELEMENT, None)
+    else:
+        raise FormatError(f"unknown distillation target {target!r}")
+    return _clare_branch(two_bell(), *branch)

@@ -98,7 +98,10 @@ class StateTensor:
 
     @property
     def norm(self) -> float:
-        norm = float(np.linalg.norm(self.amplitudes))
+        # Amplitudes above about 1e154 overflow the sum of squares to inf,
+        # which the rescale below recovers from.
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(self.amplitudes))
         if not 1e-150 < norm < 1e150:
             # Under- or overflow: rescale by the (finite, nonzero) largest modulus.
             scale = float(np.abs(self.amplitudes).max())

@@ -87,28 +87,29 @@ def test_criterion_2_slocc_invariance():
 
 
 def _monotone_trials(measure, trials, seed):
-    """Literal random-trial sweep over ``monotone_trial``; returns the trials
-    ``check_monotone`` fails and the worst slack for both the raw and
+    """Literal random-trial sweep through ``monotone_batch``; returns the
+    trials ``check_monotone`` fails and the worst slack for both the raw and
     degree-normalized measures."""
     exponent = 2.0 / ec.MEASURES[measure][2]
-    violations = []
-    min_slack = np.inf
-    min_norm_slack = np.inf
-    for t in range(trials):
-        chk = ec.monotone_trial(measure, seed, t)
-        if not chk.passed:
-            violations.append((t, chk.slack, chk.before))
-        min_slack = min(min_slack, chk.slack)
-        norm_before = chk.before**exponent
-        norm_after = sum(
-            out.probability * val**exponent
-            for out, val in zip(chk.ensemble.outcomes, chk.ensemble.measure_after)
+    batch = ec.monotone_batch(measure, seed, range(trials))
+    violations = [
+        (t, slack, before)
+        for t, slack, before, passed in zip(
+            batch.trial.tolist(),
+            batch.slack.tolist(),
+            batch.before.tolist(),
+            batch.passed.tolist(),
         )
-        min_norm_slack = min(min_norm_slack, norm_before - norm_after)
-        assert norm_before - norm_after >= -1e-9 * norm_before, (
-            f"degree-normalized monotonicity violated at trial {t}"
-        )
-    return violations, min_slack, min_norm_slack
+        if not passed
+    ]
+    norm_before = batch.before**exponent
+    norm_after = (batch.probabilities * batch.measure_after**exponent).sum(axis=1)
+    norm_slack = norm_before - norm_after
+    bad = np.flatnonzero(~(norm_slack >= -1e-9 * norm_before))
+    assert bad.size == 0, (
+        f"degree-normalized monotonicity violated at trial {batch.trial[bad[0]]}"
+    )
+    return violations, batch.slack.min(), norm_slack.min()
 
 
 def test_criterion_3_monotone_det222():

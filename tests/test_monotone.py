@@ -1,12 +1,14 @@
 """Two-outcome measurement construction and the averaged-measure checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import entclass as ec
-from entclass.errors import FormatError, ProofChainError
+from entclass.errors import FormatError, NormalizationError, ProofChainError
+from entclass.monotone import _BLOCK
 
 from conftest import random_diagonal_pair, rep, uniform_block_state
 
@@ -347,3 +349,132 @@ def test_monte_carlo_counts_what_the_trial_kernel_fails():
     assert summary.min_slack_trial == worst
     assert summary.min_slack == checks[worst].slack
     assert summary.min_slack_before == checks[worst].before
+
+
+# ---------------------------------------------------------------------------
+# the batched engine
+
+
+def _hand_rolled(measure, seed, t, party):
+    """Trial t through the public draw chain, one call per step."""
+    _, dims, _ = ec.MEASURES[measure]
+    g = ec.RandomSource(seed, t).generator()
+    psi = ec.random_state(dims, g)
+    p = int(g.integers(0, 3)) if party is None else party
+    return ec.check_monotone(psi, ec.random_povm_pair(dims[p], g, party=p), measure)
+
+
+def _check_row(chk):
+    probabilities = tuple(out.probability for out in chk.ensemble.outcomes)
+    return chk.before, chk.slack, chk.passed, probabilities, chk.ensemble.measure_after
+
+
+def _batch_row(batch, i):
+    return (
+        batch.before[i],
+        batch.slack[i],
+        batch.passed[i],
+        tuple(batch.probabilities[i]),
+        tuple(batch.measure_after[i]),
+    )
+
+
+@pytest.mark.parametrize("party", [None, 0, 2])
+@pytest.mark.parametrize("measure", sorted(ec.MEASURES))
+def test_every_route_computes_a_trial_bit_for_bit(measure, party):
+    seed = 31
+    sizes = (1, 12, _BLOCK + 5)
+    batches = {n: ec.monotone_batch(measure, seed, range(n), party) for n in sizes}
+    longest = batches[sizes[-1]]
+    for n, batch in batches.items():
+        assert batch.trial.tolist() == list(range(n))
+        for field in ("before", "slack", "passed", "probabilities", "measure_after"):
+            assert np.array_equal(getattr(batch, field), getattr(longest, field)[:n])
+        summary = ec.monte_carlo(measure, n, seed, party)
+        worst = int(np.argmin(batch.slack))
+        assert summary.min_slack_trial == worst
+        assert summary.min_slack == batch.slack[worst]
+        assert summary.min_slack_before == batch.before[worst]
+        assert summary.failures == int(np.count_nonzero(~batch.passed))
+    for t in (0, 11, _BLOCK - 1, _BLOCK, _BLOCK + 4):
+        row = _batch_row(longest, t)
+        assert row == _check_row(ec.monotone_trial(measure, seed, t, party))
+        assert row == _check_row(_hand_rolled(measure, seed, t, party))
+
+
+@pytest.mark.parametrize("measure", sorted(ec.MEASURES))
+def test_engine_matches_a_plain_reference(measure):
+    # Per-outcome tensordot and the scalar measure, as the engine replaced.
+    fn, dims, _ = ec.MEASURES[measure]
+    batch = ec.monotone_batch(measure, 7, range(40))
+    for t in range(40):
+        g = ec.RandomSource(7, t).generator()
+        psi = ec.random_state(dims, g)
+        p = int(g.integers(0, 3))
+        pair = ec.random_povm_pair(dims[p], g, party=p)
+        after = 0.0
+        for mu in (1, 2):
+            raw = np.tensordot(pair.element(mu), psi.amplitudes, (1, p))
+            raw = np.moveaxis(raw, 0, p)
+            prob = float(np.vdot(raw, raw).real)
+            assert batch.probabilities[t, mu - 1] == pytest.approx(prob, rel=1e-12)
+            after += prob * abs(fn(ec.StateTensor(dims, raw / math.sqrt(prob))))
+        before = abs(fn(psi))
+        assert batch.before[t] == pytest.approx(before, rel=1e-12)
+        assert batch.slack[t] == pytest.approx(before - after, abs=1e-12 * before)
+
+
+def test_monotone_batch_takes_any_trial_indices():
+    batch = ec.monotone_batch("det223", 11, [134, 5, 134])
+    assert batch.trial.tolist() == [134, 5, 134]
+    assert _batch_row(batch, 0) == _batch_row(batch, 2)
+    assert _batch_row(batch, 1) == _check_row(ec.monotone_trial("det223", 11, 5))
+
+
+@pytest.mark.parametrize("party", [0, 1, 2])
+@pytest.mark.parametrize("measure", sorted(ec.MEASURES))
+def test_annihilated_outcome_is_a_null_branch_without_warnings(measure, party):
+    _, dims, _ = ec.MEASURES[measure]
+    psi = ec.make_state(dims, {(0, 0, 0): 1.0})
+    k = dims[party]
+    eye = np.eye(k)
+    keep = (1.0,) + (0.0,) * (k - 1)
+    pair = ec.PovmPair(party, eye, eye, eye, keep, tuple(1.0 - a for a in keep))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chk = ec.check_monotone(psi, pair, measure)
+        ensemble = ec.apply_povm(psi, pair)
+    assert chk.ensemble.outcomes[1] == ensemble.outcomes[1] == ec.Outcome(0.0, None)
+    assert chk.ensemble.outcomes[0].probability == 1.0
+    assert chk.ensemble.measure_after[1] == 0.0
+    assert chk.passed
+
+
+@pytest.mark.parametrize("scale", [2.0, 1e300])
+def test_engine_rejects_unnormalized_states(scale):
+    psi = ec.StateTensor((2, 2, 2), scale * rep("GHZ").amplitudes)
+    pair = ec.equality_case_povm(2, 0.5)
+    with pytest.raises(NormalizationError):
+        ec.check_monotone(psi, pair, "det222")
+    with pytest.raises(NormalizationError):
+        ec.apply_povm(psi, pair)
+
+
+def test_engine_rejects_a_pair_of_the_wrong_dimension_or_party():
+    psi = ec.random_state((2, 2, 3), ec.RandomSource(3))
+    with pytest.raises(FormatError, match="dimension"):
+        ec.check_monotone(psi, ec.equality_case_povm(3, 0.5, party=0), "det223")
+    with pytest.raises(FormatError, match="out of range"):
+        ec.apply_povm(psi, ec.equality_case_povm(2, 0.5, party=3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ec.monotone_batch("det222", 1, range(3), party=3),
+        lambda: ec.monte_carlo("det223", 5, 1, party=-1),
+    ],
+)
+def test_batch_routes_reject_party_out_of_range(call):
+    with pytest.raises(ValueError, match="party"):
+        call()

@@ -88,6 +88,24 @@ def test_distill_bell_ab_branch():
     assert out.probability == pytest.approx(0.25, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "target, branches",
+    [("BELL_AB", ec.entanglement_swap), ("GHZ", ec.distill_ghz_branches)],
+)
+def test_distill_equals_the_first_branch_of_the_full_protocol(target, branches):
+    got, want = ec.distill_from_generic(target), branches()[0]
+    assert (got.branch, got.probability, got.post_class) == (
+        want.branch, want.probability, want.post_class,
+    )
+    assert np.array_equal(got.post_state.amplitudes, want.post_state.amplitudes)
+    if want.recovery is None:
+        assert got.recovery is None
+    else:
+        assert len(got.recovery.factors) == len(want.recovery.factors)
+        for mine, ref in zip(got.recovery.factors, want.recovery.factors):
+            assert np.array_equal(mine, ref)
+
+
 def test_distill_unknown_target():
     with pytest.raises(ec.FormatError):
         ec.distill_from_generic("BELL_BC")
