@@ -40,7 +40,6 @@ from .errors import (
 )
 from .invariants import (
     BILINEAR_SIGN,
-    DET_DEGREES,
     KNOWN_STABILIZER_DIMS,
     MAGIC_BASIS,
     SPIN_FLIP,
@@ -48,7 +47,6 @@ from .invariants import (
     DimensionCount,
     InvariantReport,
     RtrResult,
-    adjust_format,
     ckw_residual,
     concurrence,
     det222,
@@ -68,7 +66,6 @@ from .monotone import (
     MonotoneCheck,
     MonteCarloSummary,
     Outcome,
-    OutcomeEnsemble,
     PovmPair,
     amgm_bound_report,
     apply_povm,
@@ -82,14 +79,11 @@ from .monotone import (
 from .numerics import (
     DEFAULT_POLICY,
     MAX_MATRIX_DIM,
-    RNG_ALGORITHM,
     RandomSource,
     TolerancePolicy,
-    numerical_rank,
     random_sl,
     random_state,
     random_unitary,
-    svd,
 )
 from .protocols import (
     BELL_VECTORS,

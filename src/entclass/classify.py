@@ -28,13 +28,11 @@ from .tensor import LocalOperation, StateTensor, apply_local, representative
 
 #: Signatures that pin the class by ranks alone.
 _RANK_ONLY = {
-    (1, 1, 1): ClassLabel.SEP,
-    (1, 2, 2): ClassLabel.B1,
-    (2, 1, 2): ClassLabel.B2,
-    (2, 2, 1): ClassLabel.B3,
+    label.rank_signature: label
+    for label in (ClassLabel.SEP, ClassLabel.B1, ClassLabel.B2, ClassLabel.B3)
 }
 
-LEGAL_SIGNATURES = frozenset(_RANK_ONLY) | {(2, 2, 2), (2, 2, 3), (2, 2, 4)}
+LEGAL_SIGNATURES = frozenset(label.rank_signature for label in ClassLabel)
 
 #: rank(R^T R) expected for each determinant-decided class.
 EXPECTED_RANK_RTR = {
@@ -47,10 +45,9 @@ EXPECTED_RANK_RTR = {
 
 def _rank_vote(signature: tuple[int, int, int], rank_rtr: int) -> ClassLabel | None:
     """The class the R^T R rank alone would assign within a signature."""
-    if signature == (2, 2, 2):
-        return {2: ClassLabel.GHZ, 1: ClassLabel.W}.get(rank_rtr)
-    if signature == (2, 2, 3):
-        return {3: ClassLabel.C223_GEN, 2: ClassLabel.C223_DEG}.get(rank_rtr)
+    for label, rank in EXPECTED_RANK_RTR.items():
+        if label.rank_signature == signature and rank == rank_rtr:
+            return label
     return None
 
 

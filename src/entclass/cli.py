@@ -124,16 +124,13 @@ def _serialize_operation(op: LocalOperation | None) -> Any:
 
 
 def _serialize_invariants(report: InvariantReport) -> dict:
-    def _complex(v):
-        return None if v is None else {"re": float(v.real), "im": float(v.imag)}
-
     return {
         "local_ranks": list(report.local_ranks),
         "rank_rtr": report.rank_rtr,
         "singular_values_rtr": [float(s) for s in report.singular_values_rtr],
-        "det222": _complex(report.det222),
+        "det222": report.det222,
         "det222_abs": None if report.det222 is None else abs(report.det222),
-        "det223": _complex(report.det223),
+        "det223": report.det223,
         "det223_abs": None if report.det223 is None else abs(report.det223),
         "norm": report.norm,
         "margins": dict(report.margins),
@@ -169,13 +166,21 @@ def read_state_file(path: str) -> StateTensor:
     return parse_state_document(doc, source=path)
 
 
+def _integers(obj: dict, key: str, where: str) -> tuple[int, ...]:
+    """The integer array ``obj[key]``; bools, floats and strings are rejected,
+    not truncated."""
+    value = obj.get(key)
+    if isinstance(value, (list, tuple)) and all(
+        isinstance(v, int) and not isinstance(v, bool) for v in value
+    ):
+        return tuple(value)
+    raise StateFileError(f"{where}: {key!r} must be an array of integers, got {value!r}")
+
+
 def parse_state_document(doc: Any, source: str = "<state>") -> StateTensor:
     if not isinstance(doc, dict):
         raise StateFileError(f"{source}: top level must be an object")
-    try:
-        dims = [int(k) for k in doc["dims"]]
-    except (KeyError, TypeError, ValueError):
-        raise StateFileError(f"{source}: missing or malformed 'dims'") from None
+    dims = _integers(doc, "dims", source)
     raw = doc.get("amplitudes")
     if not isinstance(raw, list) or not raw:
         raise StateFileError(f"{source}: 'amplitudes' must be a nonempty array")
@@ -184,10 +189,7 @@ def parse_state_document(doc: Any, source: str = "<state>") -> StateTensor:
         where = f"{source}: amplitudes[{pos}]"
         if not isinstance(item, dict):
             raise StateFileError(f"{where}: expected an object")
-        try:
-            index = tuple(int(i) for i in item["index"])
-        except (KeyError, TypeError, ValueError):
-            raise StateFileError(f"{where}: missing or malformed 'index'") from None
+        index = _integers(item, "index", where)
         try:
             value = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
         except (TypeError, ValueError):
@@ -197,7 +199,12 @@ def parse_state_document(doc: Any, source: str = "<state>") -> StateTensor:
         state = make_state(dims, entries)
     except EntclassError as exc:
         raise StateFileError(f"{source}: {exc}") from exc
-    if bool(doc.get("normalize", True)):
+    normalize = doc.get("normalize", True)
+    if not isinstance(normalize, bool):
+        raise StateFileError(
+            f"{source}: 'normalize' must be true or false, got {normalize!r}"
+        )
+    if normalize:
         state = state.normalize()
     return state
 

@@ -37,8 +37,9 @@ class ClassLabel(enum.Enum):
 
     @property
     def min_clare_dim(self) -> int:
-        """Smallest Clare dimension n for which the class is nonempty."""
-        return _MIN_CLARE[self]
+        """Smallest Clare dimension n for which the class is nonempty: the
+        Clare rank r3 of its signature."""
+        return self.rank_signature[2]
 
     @classmethod
     def parse(cls, text: str) -> "ClassLabel":
@@ -77,16 +78,4 @@ _GRADES = {
     ClassLabel.C223_DEG: 4,
     ClassLabel.C223_GEN: 4,
     ClassLabel.GEN224: 5,
-}
-
-_MIN_CLARE = {
-    ClassLabel.SEP: 1,
-    ClassLabel.B1: 1,
-    ClassLabel.B2: 1,
-    ClassLabel.B3: 1,
-    ClassLabel.W: 2,
-    ClassLabel.GHZ: 2,
-    ClassLabel.C223_DEG: 3,
-    ClassLabel.C223_GEN: 3,
-    ClassLabel.GEN224: 4,
 }

@@ -153,28 +153,19 @@ class Outcome(NamedTuple):
 
 
 @dataclass(frozen=True)
-class OutcomeEnsemble:
-    """The two normalized outcome states with their probabilities.
-
-    measure_before / measure_after / degree are filled in when the ensemble
-    is produced as part of a monotonicity check.
-    """
-
-    outcomes: tuple[Outcome, Outcome]
-    measure_before: float | None = None
-    measure_after: tuple[float, float] | None = None
-    degree: int | None = None
-
-
-@dataclass(frozen=True)
 class MonotoneCheck:
-    """One evaluation of the averaged-measure inequality."""
+    """One evaluation of the averaged-measure inequality.
+
+    ``outcomes`` holds the two normalized outcome states with their
+    probabilities; ``measure_after`` is 0.0 on a probability-zero branch.
+    """
 
     before: float
     after_avg: float
     slack: float
     passed: bool
-    ensemble: OutcomeEnsemble
+    outcomes: tuple[Outcome, Outcome]
+    measure_after: tuple[float, float]
 
 
 class AmgmBounds(NamedTuple):
@@ -366,27 +357,22 @@ def _outcomes(probabilities, null, states, row: int) -> tuple[Outcome, Outcome]:
     )
 
 
-def _check(ev: _Evaluated, row: int, degree: int) -> MonotoneCheck:
-    before = float(ev.before[row])
+def _check(ev: _Evaluated, row: int) -> MonotoneCheck:
     return MonotoneCheck(
-        before=before,
+        before=float(ev.before[row]),
         after_avg=float(ev.after_avg[row]),
         slack=float(ev.slack[row]),
         passed=bool(ev.passed[row]),
-        ensemble=OutcomeEnsemble(
-            outcomes=_outcomes(ev.probabilities, ev.null, ev.states, row),
-            measure_before=before,
-            measure_after=tuple(ev.measure_after[row].tolist()),
-            degree=degree,
-        ),
+        outcomes=_outcomes(ev.probabilities, ev.null, ev.states, row),
+        measure_after=tuple(ev.measure_after[row].tolist()),
     )
 
 
-def apply_povm(psi: StateTensor, pair: PovmPair) -> OutcomeEnsemble:
+def apply_povm(psi: StateTensor, pair: PovmPair) -> tuple[Outcome, Outcome]:
     """Measure: outcome states element(mu) psi / sqrt(p_mu), p_mu its weight."""
     groups = [(pair.party, [0], pair._elements[None])]
     probabilities, null, states = _apply(psi.amplitudes[None], groups)
-    return OutcomeEnsemble(outcomes=_outcomes(probabilities, null, states, 0))
+    return _outcomes(probabilities, null, states, 0)
 
 
 def check_monotone(psi: StateTensor, pair: PovmPair, measure: str) -> MonotoneCheck:
@@ -397,11 +383,11 @@ def check_monotone(psi: StateTensor, pair: PovmPair, measure: str) -> MonotoneCh
     violations are allowed) with a tiny absolute floor for states whose
     measure vanishes identically.
     """
-    _, dims, degree = _measure(measure)
+    _, dims, _ = _measure(measure)
     if psi.dims != dims:
         raise FormatError(f"measure {measure} requires dims {dims}, got {psi.dims}")
     groups = [(pair.party, [0], pair._elements[None])]
-    return _check(_evaluate(measure, psi.amplitudes[None], groups), 0, degree)
+    return _check(_evaluate(measure, psi.amplitudes[None], groups), 0)
 
 
 def _block_norms(psi: StateTensor, party: int) -> np.ndarray:
@@ -508,8 +494,7 @@ def monotone_trial(
     and returns ``check_monotone`` of that draw. It runs the engine on a
     block of one, so it reproduces the batch and ``monte_carlo`` bit for bit.
     """
-    _, _, degree = _measure(measure)
-    return _check(_run_block(measure, seed, [trial], party), 0, degree)
+    return _check(_run_block(measure, seed, [trial], party), 0)
 
 
 def monotone_batch(

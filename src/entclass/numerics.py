@@ -1,4 +1,4 @@
-"""Small-matrix complex linear algebra under one tolerance policy.
+"""The tolerance policy and seeded random sampling.
 
 Every rank and zero decision in the library flows through a shared
 TolerancePolicy: class boundaries are exactly the loci where tolerances
@@ -25,8 +25,6 @@ from .tensor import StateTensor
 
 #: Largest matrix side handled by this module (and by the library overall).
 MAX_MATRIX_DIM = 16
-
-RNG_ALGORITHM = "philox4x64-keyed"
 
 
 @dataclass(frozen=True)
@@ -81,9 +79,6 @@ class RandomSource:
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def substream(self, offset: int) -> "RandomSource":
-        return RandomSource(self.seed, self.stream + int(offset))
-
 
 def _as_generator(rng: RandomSource | np.random.Generator) -> np.random.Generator:
     if isinstance(rng, RandomSource):
@@ -91,37 +86,6 @@ def _as_generator(rng: RandomSource | np.random.Generator) -> np.random.Generato
     if isinstance(rng, np.random.Generator):
         return rng
     raise TypeError(f"expected RandomSource or numpy Generator, got {type(rng)!r}")
-
-
-def _check_matrix(m) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2:
-        raise FormatError(f"expected a matrix, got shape {m.shape}")
-    if max(m.shape) > MAX_MATRIX_DIM:
-        raise FormatError(f"matrix shape {m.shape} exceeds cap {MAX_MATRIX_DIM}")
-    if not np.all(np.isfinite(m)):
-        raise FormatError("matrix contains non-finite entries")
-    return m
-
-
-def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD with the convention M = U diag(s) V†.
-
-    Returns (U, s, V) with U (p x p) and V (q x q) unitary and s the
-    descending nonnegative singular values (min(p, q) of them).
-    """
-    m = _check_matrix(m)
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
-    return u, s, vh.conj().T
-
-
-def numerical_rank(m, policy: TolerancePolicy = DEFAULT_POLICY) -> int:
-    """Count of singular values above the policy threshold."""
-    m = _check_matrix(m)
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > policy.rank_threshold(float(s[0]), max(m.shape))))
 
 
 def random_sl(k: int, rng: RandomSource | np.random.Generator) -> np.ndarray:

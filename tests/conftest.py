@@ -18,6 +18,24 @@ def rep(label, n=None) -> ec.StateTensor:
     return ec.representative(label, natural_n(label) if n is None else n)
 
 
+def svd_rank(m, policy=ec.DEFAULT_POLICY) -> int:
+    """Count of singular values of ``m`` above the policy's rank threshold."""
+    s = np.linalg.svd(m, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > policy.rank_threshold(float(s[0]), max(m.shape))))
+
+
+def compress_clare(psi, target) -> ec.StateTensor:
+    """Rotate Clare by the right singular vectors of the flattened state, so
+    the support sits on her first levels, then cut or zero-pad to ``target``
+    levels: F -> F K^T with K = V^T maps F = U diag(s) V^dagger to U diag(s)."""
+    _, _, vh = np.linalg.svd(ec.flatten(psi))
+    clare = np.eye(target, psi.dims[2]) @ vh.conj()
+    eye = np.eye(2, dtype=complex)
+    return ec.apply_local(ec.LocalOperation((eye, eye, clare)), psi)
+
+
 def random_invertible_op(dims, gen) -> ec.LocalOperation:
     return ec.LocalOperation(tuple(ec.random_sl(k, gen) for k in dims))
 

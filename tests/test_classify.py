@@ -7,7 +7,14 @@ import entclass as ec
 from entclass.classify import _cross_check, _rank_vote, partial_order
 from entclass.errors import AmbiguityError, SignatureError
 
-from conftest import ALL_LABELS, natural_n, random_invertible_op, random_noninvertible_op, rep
+from conftest import (
+    ALL_LABELS,
+    compress_clare,
+    natural_n,
+    random_invertible_op,
+    random_noninvertible_op,
+    rep,
+)
 
 TABLE = {
     "GEN224": ((2, 2, 4), 4, None, None),
@@ -58,6 +65,14 @@ def test_classify_invariant_under_random_sl(label, gen):
         assert ec.classify(ec.apply_local(op, psi))[0] == label
 
 
+@pytest.mark.parametrize("label", ALL_LABELS, ids=lambda l: l.name)
+def test_min_clare_dim_is_the_clare_rank(label):
+    # A class needs at least as many Clare levels as Clare's local rank;
+    # B1 and B2 have r3 = 2, so neither exists at n = 1.
+    psi = ec.representative(label, 4)
+    assert label.min_clare_dim == ec.local_ranks(psi)[2]
+
+
 def test_illegal_signature_rejected():
     with pytest.raises(SignatureError, match=r"1, 2, 1"):
         raise SignatureError((1, 2, 1))
@@ -76,6 +91,11 @@ def test_rank_vote_lookup():
     assert _rank_vote((2, 2, 2), 2) == ec.ClassLabel.GHZ
     assert _rank_vote((2, 2, 3), 2) == ec.ClassLabel.C223_DEG
     assert _rank_vote((2, 2, 2), 0) is None
+    for label, rank in ec.EXPECTED_RANK_RTR.items():
+        assert _rank_vote(label.rank_signature, rank) == label
+    for signature in ((1, 1, 1), (2, 2, 1), (2, 2, 4)):
+        for rank in range(5):
+            assert _rank_vote(signature, rank) is None
 
 
 def test_grades():
@@ -246,7 +266,7 @@ def test_classify_matches_format_compression(gen):
         n = int(gen.integers(5, 9))
         psi = ec.random_state((2, 2, n), gen)
         direct = ec.classify(psi)[0]
-        compressed, _ = ec.adjust_format(psi, 4)
+        compressed = compress_clare(psi, 4)
         assert ec.classify(compressed)[0] == direct
         assert direct == ec.ClassLabel.GEN224
 

@@ -81,6 +81,48 @@ def test_state_file_errors(tmp_path):
     bad.write_text('{"dims": [2, 2], "amplitudes": [{"index": [0, 0], "re": 0.0}]}')
     with pytest.raises(StateFileError):
         read_state_file(str(bad))
+    # Non-integer indices and dims are rejected rather than truncated, and
+    # "normalize" must be a JSON boolean.
+    ghz = '[{"index": [0, 0, 0], "re": 1.0}, {"index": [1, 1, 0.9], "re": 1.0}]'
+    one = '[{"index": [0, 0, 0], "re": 1.0}]'
+    for doc, field in (
+        ('{"dims": [2, 2, 2], "amplitudes": %s}' % ghz, "'index'"),
+        ('{"dims": [2, 2, 2.7], "amplitudes": %s}' % one, "'dims'"),
+        ('{"dims": [2, 2, true], "amplitudes": %s}' % one, "'dims'"),
+        ('{"dims": [2, 2, 2], "amplitudes": %s, "normalize": "false"}' % one, "'normalize'"),
+    ):
+        bad.write_text(doc)
+        with pytest.raises(StateFileError, match=field):
+            read_state_file(str(bad))
+
+
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+@pytest.mark.parametrize(
+    "label,n,present",
+    [
+        ("GHZ", 2, ("det222", "det223")),
+        ("GHZ", 4, ("det222", "det223")),
+        ("C223_GEN", 3, ("det223",)),
+        ("GEN224", 4, ()),
+    ],
+)
+def test_report_det_values_are_re_im_objects_or_null(
+    command, label, n, present, tmp_path, capsys
+):
+    path = write_state(tmp_path, ec.representative(label, n))
+    code, out, err = invoke([command, "--in", path], capsys)
+    assert code == 0, err
+    invariants = json.loads(out)["result"]["invariants"]
+    for key in ("det222", "det223"):
+        value = invariants[key]
+        if key in present:
+            assert sorted(value) == ["im", "re"]
+            assert all(isinstance(part, (int, float)) for part in value.values())
+            assert math.hypot(value["re"], value["im"]) == pytest.approx(
+                invariants[key + "_abs"], rel=1e-15
+            )
+        else:
+            assert value is None and invariants[key + "_abs"] is None
 
 
 def test_cli_exit_codes(tmp_path, capsys):

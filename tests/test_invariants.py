@@ -150,48 +150,20 @@ def test_det_sl_invariance(measure, gen):
 
 
 # ---------------------------------------------------------------------------
-# format adjustment
-
-
-def test_adjust_format_ghz_embedded():
-    psi = ec.representative("GHZ", 4)
-    adjusted, op = ec.adjust_format(psi, 2)
-    assert adjusted.dims == (2, 2, 2)
-    assert abs(ec.det222(adjusted)) == pytest.approx(0.25, abs=1e-12)
-    assert op.factors[2].shape == (2, 4)
+# det223 of a state embedded in a larger Clare space
 
 
 def test_adjust_format_preserves_det223_modulus():
     pattern = {(0, 0, 0): 1, (0, 1, 1): 1 / SQ2, (1, 0, 1): 1 / SQ2, (1, 1, 2): 1}
     embedded = ec.make_state((2, 2, 4), pattern)
-    adjusted, _ = ec.adjust_format(embedded, 3)
-    assert abs(ec.det223(adjusted)) == pytest.approx(0.5, abs=1e-12)
+    report = ec.invariant_report(embedded)
+    # The report normalizes; det223 has degree 6.
+    assert abs(report.det223) * report.norm**6 == pytest.approx(0.5, abs=1e-12)
     # and the normalized representative agrees with its own n=3 embedding
-    a1, _ = ec.adjust_format(ec.representative("C223_GEN", 4), 3)
-    assert abs(ec.det223(a1)) == pytest.approx(
+    a1 = ec.invariant_report(ec.representative("C223_GEN", 4))
+    assert abs(a1.det223) == pytest.approx(
         abs(ec.det223(ec.representative("C223_GEN", 3))), abs=1e-12
     )
-
-
-def test_adjust_format_below_rank_rejected(gen):
-    psi = ec.random_state((2, 2, 4), gen)
-    with pytest.raises(FormatError):
-        ec.adjust_format(psi, 3)
-
-
-def test_adjust_format_pads_up():
-    adjusted, op = ec.adjust_format(rep("GHZ"), 3)
-    assert adjusted.dims == (2, 2, 3)
-    assert op.factors[2].shape == (3, 2)
-    assert abs(ec.det223(adjusted)) < 1e-14
-
-
-def test_adjust_format_rotation_is_unitary(gen):
-    psi = ec.random_state((2, 2, 4), gen)
-    adjusted, op = ec.adjust_format(psi, 4)
-    clare = op.factors[2]
-    assert np.abs(clare.conj().T @ clare - np.eye(4)).max() < 1e-12
-    assert abs(adjusted.norm - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +281,12 @@ def test_nonlocal_dimension_bipartite_generic(k):
     # The maximally entangled bipartite orbit has no moduli: the diagonal
     # special-linear stabilizer has dimension k^2 - 1.
     assert ec.nonlocal_dimension((k, k), k * k - 1).raw == 0
+
+
+def test_dimension_count_derives_its_counts():
+    count = ec.DimensionCount((2, 2), 0)
+    assert (count.raw, count.nonnegative) == (-3, 0)
+    assert ec.nonlocal_dimension((2, 2, 4), 6) == ec.DimensionCount((2, 2, 4), 6)
 
 
 def test_nonlocal_dimension_rejects_negative_delta():

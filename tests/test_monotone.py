@@ -52,20 +52,20 @@ def test_equality_case_povm_is_proportional():
 
 def test_equality_case_outcomes_equal_input(gen):
     psi = ec.random_state((2, 2, 2), gen)
-    ensemble = ec.apply_povm(psi, ec.equality_case_povm(2, 0.3, party=1))
-    for out in ensemble.outcomes:
+    outcomes = ec.apply_povm(psi, ec.equality_case_povm(2, 0.3, party=1))
+    for out in outcomes:
         overlap = abs(np.vdot(out.state.amplitudes, psi.amplitudes))
         assert overlap == pytest.approx(1.0, abs=1e-12)
-    assert ensemble.outcomes[0].probability == pytest.approx(0.09, abs=1e-12)
+    assert outcomes[0].probability == pytest.approx(0.09, abs=1e-12)
 
 
 def test_apply_povm_projective_on_ghz():
     pair = ec.PovmPair(2, np.eye(2), np.eye(2), np.eye(2), (1.0, 0.0), (0.0, 1.0))
-    ensemble = ec.apply_povm(rep("GHZ"), pair)
-    p1, p2 = (o.probability for o in ensemble.outcomes)
+    outcomes = ec.apply_povm(rep("GHZ"), pair)
+    p1, p2 = (o.probability for o in outcomes)
     assert p1 == pytest.approx(0.5) and p2 == pytest.approx(0.5)
-    s1 = ensemble.outcomes[0].state
-    s2 = ensemble.outcomes[1].state
+    s1 = outcomes[0].state
+    s2 = outcomes[1].state
     assert abs(s1.amplitudes[0, 0, 0]) == pytest.approx(1.0)
     assert abs(s2.amplitudes[1, 1, 1]) == pytest.approx(1.0)
 
@@ -75,10 +75,10 @@ def test_apply_povm_probabilities_sum_to_one(gen):
         psi = ec.random_state((2, 2, 3), gen)
         party = int(gen.integers(0, 3))
         pair = ec.random_povm_pair(psi.dims[party], gen, party=party)
-        ensemble = ec.apply_povm(psi, pair)
-        total = sum(o.probability for o in ensemble.outcomes)
+        outcomes = ec.apply_povm(psi, pair)
+        total = sum(o.probability for o in outcomes)
         assert abs(total - 1.0) < 1e-10
-        for o in ensemble.outcomes:
+        for o in outcomes:
             if o.state is not None:
                 assert abs(o.state.norm - 1.0) < 1e-10
 
@@ -86,9 +86,9 @@ def test_apply_povm_probabilities_sum_to_one(gen):
 def test_apply_povm_null_branch():
     pair = ec.PovmPair(0, np.eye(2), np.eye(2), np.eye(2), (1.0, 1.0), (0.0, 0.0))
     psi = rep("GHZ")
-    ensemble = ec.apply_povm(psi, pair)
-    assert ensemble.outcomes[0].probability == pytest.approx(1.0)
-    assert ensemble.outcomes[1].state is None
+    outcomes = ec.apply_povm(psi, pair)
+    assert outcomes[0].probability == pytest.approx(1.0)
+    assert outcomes[1].state is None
     chk = ec.check_monotone(psi, pair, "det222")
     assert chk.passed
     assert chk.after_avg == pytest.approx(chk.before, abs=1e-12)
@@ -178,7 +178,7 @@ def test_degree_normalized_measure_is_monotone(measure):
         before = chk.before**exponent
         after = sum(
             out.probability * val**exponent
-            for out, val in zip(chk.ensemble.outcomes, chk.ensemble.measure_after)
+            for out, val in zip(chk.outcomes, chk.measure_after)
         )
         assert before - after >= -1e-9 * before
 
@@ -328,8 +328,8 @@ def test_monotone_trial_matches_hand_rolled_draw(measure, party):
         assert (got.slack, got.before, got.passed) == (
             want.slack, want.before, want.passed,
         )
-        assert got.ensemble.measure_after == want.ensemble.measure_after
-        for mine, ref in zip(got.ensemble.outcomes, want.ensemble.outcomes):
+        assert got.measure_after == want.measure_after
+        for mine, ref in zip(got.outcomes, want.outcomes):
             # Equal outcome states mean the same party and the same pair.
             assert mine.probability == ref.probability
             assert np.array_equal(mine.state.amplitudes, ref.state.amplitudes)
@@ -365,8 +365,8 @@ def _hand_rolled(measure, seed, t, party):
 
 
 def _check_row(chk):
-    probabilities = tuple(out.probability for out in chk.ensemble.outcomes)
-    return chk.before, chk.slack, chk.passed, probabilities, chk.ensemble.measure_after
+    probabilities = tuple(out.probability for out in chk.outcomes)
+    return chk.before, chk.slack, chk.passed, probabilities, chk.measure_after
 
 
 def _batch_row(batch, i):
@@ -443,10 +443,10 @@ def test_annihilated_outcome_is_a_null_branch_without_warnings(measure, party):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         chk = ec.check_monotone(psi, pair, measure)
-        ensemble = ec.apply_povm(psi, pair)
-    assert chk.ensemble.outcomes[1] == ensemble.outcomes[1] == ec.Outcome(0.0, None)
-    assert chk.ensemble.outcomes[0].probability == 1.0
-    assert chk.ensemble.measure_after[1] == 0.0
+        outcomes = ec.apply_povm(psi, pair)
+    assert chk.outcomes[1] == outcomes[1] == ec.Outcome(0.0, None)
+    assert chk.outcomes[0].probability == 1.0
+    assert chk.measure_after[1] == 0.0
     assert chk.passed
 
 

@@ -1,5 +1,6 @@
 """The one-SVD invariant pipeline: its call budget, and equivalence with the
-route through ``numerical_rank`` and ``adjust_format`` that it replaced."""
+route it replaced: one rank per unfolding and the determinants on a state
+whose Clare support is rotated onto her first levels."""
 
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 import entclass as ec
 from entclass.invariants import MAGIC_BASIS
 
-from conftest import ALL_LABELS, natural_n
+from conftest import ALL_LABELS, compress_clare, natural_n, svd_rank
 
 POLICY = ec.DEFAULT_POLICY
 
@@ -61,11 +62,12 @@ def dressed_states(count_per_class, seed, max_cond=10.0):
 
 def reference_invariants(psi):
     """Ranks, rank(R^T R) and hyperdeterminants the way the library computed
-    them before the one-SVD pipeline: one ``numerical_rank`` per unfolding,
-    R^T R from the magic basis, and the determinants on ``adjust_format``."""
+    them before the one-SVD pipeline: one thresholded SVD per unfolding,
+    R^T R from the magic basis, and the determinants on the state with
+    Clare's support compressed to 2 or 3 levels."""
     psi = psi.normalize()
     ranks = tuple(
-        ec.numerical_rank(np.moveaxis(psi.amplitudes, p, 0).reshape(k, -1), POLICY)
+        svd_rank(np.moveaxis(psi.amplitudes, p, 0).reshape(k, -1), POLICY)
         for p, k in enumerate(psi.dims)
     )
     f = ec.flatten(psi)
@@ -73,8 +75,8 @@ def reference_invariants(psi):
     svals = np.linalg.svd(r.T @ r, compute_uv=False)
     thr = POLICY.rank_threshold(float(np.linalg.norm(f)) ** 2, f.shape[1])
     rank_rtr = int(np.count_nonzero(svals > thr))
-    det222 = ec.det222(ec.adjust_format(psi, 2, POLICY)[0]) if ranks[2] <= 2 else None
-    det223 = ec.det223(ec.adjust_format(psi, 3, POLICY)[0]) if ranks[2] <= 3 else None
+    det222 = ec.det222(compress_clare(psi, 2)) if ranks[2] <= 2 else None
+    det223 = ec.det223(compress_clare(psi, 3)) if ranks[2] <= 3 else None
     if ranks == (2, 2, 2):
         generic = abs(det222) > POLICY.det_threshold(1.0, 4)
         label = ec.ClassLabel.GHZ if generic else ec.ClassLabel.W

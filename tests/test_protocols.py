@@ -124,9 +124,9 @@ def test_distill_ghz_agrees_with_povm_coarse_graining():
     # must match the rectangular distillation branches.
     eye = np.eye(4, dtype=complex)
     pair = ec.PovmPair(2, eye, eye, eye, (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0))
-    ensemble = ec.apply_povm(ec.two_bell(), pair)
+    outcomes = ec.apply_povm(ec.two_bell(), pair)
     branches = ec.distill_ghz_branches()
-    for outcome, branch in zip(ensemble.outcomes, branches):
+    for outcome, branch in zip(outcomes, branches):
         assert outcome.probability == pytest.approx(branch.probability, abs=1e-12)
         assert ec.classify(outcome.state)[0] == branch.post_class
 
