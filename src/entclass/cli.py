@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -60,11 +61,18 @@ class UsageError(Exception):
     pass
 
 
+class _Exit(Exception):
+    """--help or --version finished the request; args[0] is the status."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems instead of exiting itself."""
+    """argparse that hands usage problems and exits back to ``run``."""
 
     def error(self, message):
         raise UsageError(message)
+
+    def exit(self, status=0, message=None):
+        raise _Exit(status)  # argparse passes a message only from error()
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +198,10 @@ def parse_state_document(doc: Any, source: str = "<state>") -> StateTensor:
         if not isinstance(item, dict):
             raise StateFileError(f"{where}: expected an object")
         index = _integers(item, "index", where)
-        try:
-            value = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
-        except (TypeError, ValueError):
-            raise StateFileError(f"{where}: malformed re/im") from None
-        entries.append((index, value))
+        parts = [item.get("re", 0.0), item.get("im", 0.0)]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
+            raise StateFileError(f"{where}: 're' and 'im' must be numbers, got {parts!r}")
+        entries.append((index, complex(*parts)))
     try:
         state = make_state(dims, entries)
     except EntclassError as exc:
@@ -229,7 +236,9 @@ def state_document(psi: StateTensor, normalize: bool = True) -> dict:
 # Argument plumbing
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The process's one parser, built on first use; it keeps no request state."""
     parser = _Parser(prog="entclass", description=__doc__)
     parser.add_argument("--version", action="version", version=f"entclass {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -274,23 +283,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _env_fallback(name: str, cast, default):
+    env = os.environ.get(name)
+    try:
+        return cast(env) if env else default
+    except ValueError:
+        raise UsageError(f"{name}={env!r} is not a valid {cast.__name__}") from None
+
+
 def _policy_from(args) -> TolerancePolicy:
     rank_eps, det_eps = args.rank_eps, args.det_eps
     if rank_eps is None:
-        env = os.environ.get(ENV_RANK_EPS)
-        rank_eps = float(env) if env else DEFAULT_POLICY.rank_rel_eps
+        rank_eps = _env_fallback(ENV_RANK_EPS, float, DEFAULT_POLICY.rank_rel_eps)
     if det_eps is None:
-        env = os.environ.get(ENV_DET_EPS)
-        det_eps = float(env) if env else DEFAULT_POLICY.det_rel_eps
+        det_eps = _env_fallback(ENV_DET_EPS, float, DEFAULT_POLICY.det_rel_eps)
     return TolerancePolicy(rank_rel_eps=rank_eps, det_rel_eps=det_eps)
 
 
 def _seed_from(args) -> int:
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        env = os.environ.get(ENV_SEED)
-        seed = int(env) if env else 0
-    return int(seed)
+    return _env_fallback(ENV_SEED, int, 0) if args.seed is None else args.seed
 
 
 def _emit(doc: Any, out=None) -> None:
@@ -463,12 +474,13 @@ _COMMANDS = {
 
 
 def run(argv: Sequence[str]) -> int:
-    """Execute one CLI invocation; returns the process exit code."""
+    """Execute one CLI invocation; returns its exit code, --help and --version too."""
     argv = list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.subcommand](argv, args)
+    except _Exit as exc:
+        return exc.args[0]
     except UsageError as exc:
         print(f"entclass: {exc}", file=sys.stderr)
         return 1

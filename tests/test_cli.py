@@ -7,6 +7,7 @@ import math
 import pytest
 
 import entclass as ec
+from entclass import cli
 from entclass.cli import (
     parse_state_document,
     read_state_file,
@@ -81,15 +82,19 @@ def test_state_file_errors(tmp_path):
     bad.write_text('{"dims": [2, 2], "amplitudes": [{"index": [0, 0], "re": 0.0}]}')
     with pytest.raises(StateFileError):
         read_state_file(str(bad))
-    # Non-integer indices and dims are rejected rather than truncated, and
+    # Non-integer indices and dims are rejected rather than truncated,
+    # re/im must be JSON numbers rather than coerced strings or booleans, and
     # "normalize" must be a JSON boolean.
     ghz = '[{"index": [0, 0, 0], "re": 1.0}, {"index": [1, 1, 0.9], "re": 1.0}]'
     one = '[{"index": [0, 0, 0], "re": 1.0}]'
+    re_im = r"amplitudes\[0\]: 're' and 'im'"
     for doc, field in (
         ('{"dims": [2, 2, 2], "amplitudes": %s}' % ghz, "'index'"),
         ('{"dims": [2, 2, 2.7], "amplitudes": %s}' % one, "'dims'"),
         ('{"dims": [2, 2, true], "amplitudes": %s}' % one, "'dims'"),
         ('{"dims": [2, 2, 2], "amplitudes": %s, "normalize": "false"}' % one, "'normalize'"),
+        ('{"dims": [2, 2, 2], "amplitudes": [{"index": [0, 0, 0], "re": "0.5"}]}', re_im),
+        ('{"dims": [2, 2, 2], "amplitudes": [{"index": [0, 0, 0], "re": 1, "im": true}]}', re_im),
     ):
         bad.write_text(doc)
         with pytest.raises(StateFileError, match=field):
@@ -263,6 +268,56 @@ def test_env_overrides(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ENTCLASS_SEED", "55")
     code, out, _ = invoke(["monotone", "--measure", "det222", "--trials", "50"], capsys)
     assert json.loads(out)["seed"] == 55
+    # A malformed value is a usage error that names the variable and the value.
+    for name, value, kind, argv in (
+        ("ENTCLASS_RANK_EPS", "abc", "float", ["classify", "--in", path]),
+        ("ENTCLASS_DET_EPS", "1e-x", "float", ["invariants", "--in", path]),
+        ("ENTCLASS_SEED", "x7", "int", ["monotone", "--measure", "det222", "--trials", "5"]),
+    ):
+        with monkeypatch.context() as env:
+            env.setenv(name, value)
+            code, out, err = invoke(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"entclass: {name}={value!r} is not a valid {kind}\n"
+
+
+def test_help_and_version_return_zero(tmp_path, capsys):
+    # run() returns the exit code for every argv instead of raising SystemExit.
+    path = write_state(tmp_path, ec.representative("GHZ", 2))
+    _, before, _ = invoke(["classify", "--in", path], capsys)
+    code, out, err = invoke(["--version"], capsys)
+    assert (code, out, err) == (0, f"entclass {ec.__version__}\n", "")
+    code, out, err = invoke(["--help"], capsys)
+    assert code == 0 and err == "" and out.startswith("usage: entclass [-h] [--version]")
+    assert all(name in out for name in ("classify", "monotone", "distill", "dim"))
+    code, out, err = invoke(["classify", "--help"], capsys)
+    assert code == 0 and err == "" and out.startswith("usage: entclass classify [-h] --in INFILE")
+    assert invoke(["classify", "--in", path], capsys) == (0, before, "")
+
+
+def test_cached_parser_carries_no_state_between_requests(tmp_path, capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    path = write_state(tmp_path, ec.representative("C223_GEN", 3))
+    argv = ["classify", "--in", path]
+    monkeypatch.delenv("ENTCLASS_RANK_EPS", raising=False)
+    assert invoke(["order", "--from", "GHZ"], capsys)[0] == 1
+    assert invoke(["--help"], capsys)[0] == 0
+    code, plain, err = invoke(argv, capsys)
+    assert code == 0, err
+    monkeypatch.setenv("ENTCLASS_RANK_EPS", "1e-7")
+    code, from_env, err = invoke(argv, capsys)
+    assert code == 0, err
+    code, from_flag, err = invoke(argv + ["--rank-eps", "1e-6"], capsys)
+    assert code == 0, err
+    monkeypatch.delenv("ENTCLASS_RANK_EPS")
+    assert invoke(argv, capsys) == (0, plain, "")
+    reports = [json.loads(text) for text in (plain, from_env, from_flag)]
+    assert [r["tolerances"]["rank_rel_eps"] for r in reports] == [1e-9, 1e-7, 1e-6]
+    # Apart from the tolerances, only the margins, which are measured from
+    # the thresholds the tolerances set, tell the two plain requests apart.
+    for r in reports[:2]:
+        del r["tolerances"], r["result"]["invariants"]["margins"]
+    assert reports[0] == reports[1]
 
 
 def test_reports_byte_identical(tmp_path, capsys):
