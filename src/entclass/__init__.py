@@ -16,7 +16,6 @@ from types import ModuleType as _ModuleType
 
 from .classify import (
     EXPECTED_RANK_RTR,
-    LEGAL_SIGNATURES,
     PartialOrder,
     classify,
     grade,

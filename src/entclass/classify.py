@@ -26,20 +26,17 @@ from .labels import ClassLabel
 from .numerics import DEFAULT_POLICY, TolerancePolicy
 from .tensor import LocalOperation, StateTensor, apply_local, representative
 
-#: Signatures that pin the class by ranks alone.
-_RANK_ONLY = {
-    label.rank_signature: label
-    for label in (ClassLabel.SEP, ClassLabel.B1, ClassLabel.B2, ClassLabel.B3)
-}
-
-LEGAL_SIGNATURES = frozenset(label.rank_signature for label in ClassLabel)
-
 #: rank(R^T R) expected for each determinant-decided class.
 EXPECTED_RANK_RTR = {
     ClassLabel.GHZ: 2,
     ClassLabel.W: 1,
     ClassLabel.C223_GEN: 3,
     ClassLabel.C223_DEG: 2,
+}
+
+#: Signatures that pin the class by ranks alone.
+_RANK_ONLY = {
+    label.rank_signature: label for label in ClassLabel if label not in EXPECTED_RANK_RTR
 }
 
 
@@ -71,23 +68,18 @@ def classify(
     """
     report = invariant_report(psi, policy)
     signature = report.local_ranks
-    if signature not in LEGAL_SIGNATURES:
-        raise SignatureError(signature)
-
     if signature in _RANK_ONLY:
         return _RANK_ONLY[signature], report
-
-    if signature == (2, 2, 4):
-        return ClassLabel.GEN224, report
-
     if signature == (2, 2, 2):
         label = ClassLabel.GHZ if report.margins["det222"] > 0 else ClassLabel.W
-    else:
+    elif signature == (2, 2, 3):
         label = (
             ClassLabel.C223_GEN
             if report.margins["det223"] > 0
             else ClassLabel.C223_DEG
         )
+    else:
+        raise SignatureError(signature)
     _cross_check(signature, label, report.rank_rtr)
     return label, report
 
@@ -95,12 +87,6 @@ def classify(
 def grade(label: ClassLabel | str) -> int:
     """Position in the partial order: 1 (separable) up to 5 (generic 2x2x4)."""
     return ClassLabel.parse(label).grade
-
-
-#: Smallest Clare dimension at which each class representative lives.
-_NATURAL_N = {
-    label: max(2, label.min_clare_dim) for label in ClassLabel
-}
 
 
 def _eye(k: int = 2) -> np.ndarray:
@@ -205,7 +191,7 @@ def _witness_search(
 ) -> tuple[LocalOperation, tuple[ClassLabel, ...]] | None:
     """Composite witness plus the class chain it walks, or None."""
     order = partial_order()
-    start = representative(source, _NATURAL_N[source])
+    start = representative(source)
 
     def search(state, node):
         for nxt in order.successors(node):
@@ -236,6 +222,17 @@ def _witness_search(
     return found
 
 
+def _witness(
+    source: ClassLabel | str, target: ClassLabel | str
+) -> tuple[LocalOperation, tuple[ClassLabel, ...]] | None:
+    """The search result for a conversion between two distinct classes, or
+    None where there is none (including source == target)."""
+    source, target = ClassLabel.parse(source), ClassLabel.parse(target)
+    if source == target or not reachable(source, target):
+        return None
+    return _witness_search(source, target)
+
+
 def witness_map(
     source: ClassLabel | str, target: ClassLabel | str
 ) -> LocalOperation | None:
@@ -246,11 +243,7 @@ def witness_map(
     by classifying its action on the source representative. Returns None
     when the conversion is impossible (including source == target).
     """
-    source = ClassLabel.parse(source)
-    target = ClassLabel.parse(target)
-    if source == target or not reachable(source, target):
-        return None
-    found = _witness_search(source, target)
+    found = _witness(source, target)
     return None if found is None else found[0]
 
 
@@ -258,9 +251,5 @@ def witness_chain(
     source: ClassLabel | str, target: ClassLabel | str
 ) -> tuple[ClassLabel, ...] | None:
     """The class chain walked by witness_map's composition, endpoints included."""
-    source = ClassLabel.parse(source)
-    target = ClassLabel.parse(target)
-    if source == target or not reachable(source, target):
-        return None
-    found = _witness_search(source, target)
+    found = _witness(source, target)
     return None if found is None else found[1]

@@ -201,7 +201,10 @@ def parse_state_document(doc: Any, source: str = "<state>") -> StateTensor:
         parts = [item.get("re", 0.0), item.get("im", 0.0)]
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
             raise StateFileError(f"{where}: 're' and 'im' must be numbers, got {parts!r}")
-        entries.append((index, complex(*parts)))
+        try:
+            entries.append((index, complex(*parts)))
+        except OverflowError:
+            raise StateFileError(f"{where}: 're' and 'im' exceed the float range") from None
     try:
         state = make_state(dims, entries)
     except EntclassError as exc:
@@ -243,17 +246,14 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"entclass {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_eps(p):
+    for name, text in (
+        ("classify", "classify a state file"),
+        ("invariants", "invariant report for a state file"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--rank-eps", type=float, default=None)
         p.add_argument("--det-eps", type=float, default=None)
-
-    p = sub.add_parser("classify", help="classify a state file")
-    p.add_argument("--in", dest="infile", required=True)
-    add_eps(p)
-
-    p = sub.add_parser("invariants", help="invariant report for a state file")
-    p.add_argument("--in", dest="infile", required=True)
-    add_eps(p)
 
     p = sub.add_parser("monotone", help="seeded averaged-measure trials")
     p.add_argument("--measure", choices=sorted(["det222", "det223"]), required=True)
@@ -308,46 +308,27 @@ def _emit(doc: Any, out=None) -> None:
     (out or sys.stdout).write(render(doc) + "\n")
 
 
-def _report(argv: Sequence[str], policy: TolerancePolicy | None, seed, result) -> dict:
-    """The report envelope; ``policy`` is None where no tolerance applies."""
-    return {
-        "schema": SCHEMA,
-        "command": list(argv),
-        "seed": seed,
-        "tolerances": None if policy is None else dataclasses.asdict(policy),
-        "result": result,
-    }
-
-
 # ---------------------------------------------------------------------------
-# Subcommand bodies
+# Subcommand bodies: each returns (result, exit code) for the envelope
 
 
-def _cmd_classify(argv, args) -> int:
-    policy = _policy_from(args)
+def _cmd_state(args, policy, seed) -> tuple[dict, int]:
+    """classify and invariants: one state file, one invariant report."""
     psi = read_state_file(args.infile)
+    if args.subcommand == "invariants":
+        return {"invariants": _serialize_invariants(invariant_report(psi, policy))}, 0
     label, report = classify(psi, policy)
     result = {
         "label": label.display_name,
         "grade": label.grade,
         "invariants": _serialize_invariants(report),
     }
-    _emit(_report(argv, policy, None, result))
-    return 0
+    return result, 0
 
 
-def _cmd_invariants(argv, args) -> int:
-    policy = _policy_from(args)
-    psi = read_state_file(args.infile)
-    report = invariant_report(psi, policy)
-    _emit(_report(argv, policy, None, {"invariants": _serialize_invariants(report)}))
-    return 0
-
-
-def _cmd_monotone(argv, args) -> int:
+def _cmd_monotone(args, policy, seed) -> tuple[dict, int]:
     if args.trials < 1:
         raise UsageError("--trials must be positive")
-    seed = _seed_from(args)
     party = None if args.party is None else args.party - 1
     summary = monte_carlo(args.measure, args.trials, seed, party=party)
     result = {
@@ -361,11 +342,10 @@ def _cmd_monotone(argv, args) -> int:
         "failures": summary.failures,
         "pass": summary.passed,
     }
-    _emit(_report(argv, None, seed, result))
-    return 0 if summary.passed else 1
+    return result, 0 if summary.passed else 1
 
 
-def _cmd_order(argv, args) -> int:
+def _cmd_order(args, policy, seed) -> tuple[dict, int]:
     if args.dump == bool(args.from_label and args.to_label):
         raise UsageError("use either --dump or both --from and --to")
     if args.dump:
@@ -378,67 +358,43 @@ def _cmd_order(argv, args) -> int:
                 [a.display_name, b.display_name] for a, b in hasse_edges()
             ],
         }
-    else:
-        try:
-            src = ClassLabel.parse(args.from_label)
-            dst = ClassLabel.parse(args.to_label)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        ok = reachable(src, dst)
-        witness = witness_map(src, dst) if (ok and src != dst) else None
-        chain = witness_chain(src, dst) if (ok and src != dst) else None
-        result = {
-            "from": src.display_name,
-            "to": dst.display_name,
-            "reachable": ok,
-            "grade_from": src.grade,
-            "grade_to": dst.grade,
-            "witness_chain": None if chain is None else [c.display_name for c in chain],
-            "witness": _serialize_operation(witness),
-        }
-    _emit(_report(argv, None, None, result))
-    return 0
+        return result, 0
+    src = ClassLabel.parse(args.from_label)
+    dst = ClassLabel.parse(args.to_label)
+    witness = witness_map(src, dst)
+    chain = witness_chain(src, dst)
+    result = {
+        "from": src.display_name,
+        "to": dst.display_name,
+        "reachable": reachable(src, dst),
+        "grade_from": src.grade,
+        "grade_to": dst.grade,
+        "witness_chain": None if chain is None else [c.display_name for c in chain],
+        "witness": _serialize_operation(witness),
+    }
+    return result, 0
 
 
-def _cmd_swap(argv, args) -> int:
+def _cmd_swap(args, policy, seed) -> tuple[dict, int]:
     branches = entanglement_swap()
     result = {
         "initial_class": ClassLabel.GEN224.display_name,
         "branches": [_serialize_protocol(b) for b in branches],
         "probability_sum": float(sum(b.probability for b in branches)),
     }
-    _emit(_report(argv, None, None, result))
-    return 0
+    return result, 0
 
 
-def _cmd_distill(argv, args) -> int:
-    outcome = distill_from_generic(args.target)
+def _cmd_distill(args, policy, seed) -> tuple[dict, int]:
     result = {
         "target": args.target,
         "initial_class": ClassLabel.GEN224.display_name,
-        "branch": _serialize_protocol(outcome),
+        "branch": _serialize_protocol(distill_from_generic(args.target)),
     }
-    _emit(_report(argv, None, None, result))
-    return 0
+    return result, 0
 
 
-def _cmd_rep(argv, args) -> int:
-    try:
-        label = ClassLabel.parse(args.class_label)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    n = args.n if args.n is not None else max(2, label.min_clare_dim)
-    psi = representative(label, n)
-    doc = state_document(psi)
-    if args.out == "-":
-        _emit(doc)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            _emit(doc, out=fp)
-    return 0
-
-
-def _cmd_dim(argv, args) -> int:
+def _cmd_dim(args, policy, seed) -> tuple[dict, int]:
     try:
         dims = tuple(int(part) for part in args.dims.split(","))
     except ValueError:
@@ -450,25 +406,27 @@ def _cmd_dim(argv, args) -> int:
                 f"no documented stabilizer dimension for {dims}; pass --delta"
             )
         delta = KNOWN_STABILIZER_DIMS[dims]
-    count = nonlocal_dimension(dims, delta)
-    result = {
-        "dims": list(count.dims),
-        "delta": count.delta,
-        "raw": count.raw,
-        "nonnegative": count.nonnegative,
-    }
-    _emit(_report(argv, None, None, result))
+    return dataclasses.asdict(nonlocal_dimension(dims, delta)), 0
+
+
+def _cmd_rep(args) -> int:
+    """Write a state document, not a report envelope."""
+    doc = state_document(representative(args.class_label, args.n))
+    if args.out == "-":
+        _emit(doc)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fp:
+            _emit(doc, out=fp)
     return 0
 
 
 _COMMANDS = {
-    "classify": _cmd_classify,
-    "invariants": _cmd_invariants,
+    "classify": _cmd_state,
+    "invariants": _cmd_state,
     "monotone": _cmd_monotone,
     "order": _cmd_order,
     "swap": _cmd_swap,
     "distill": _cmd_distill,
-    "rep": _cmd_rep,
     "dim": _cmd_dim,
 }
 
@@ -478,18 +436,28 @@ def run(argv: Sequence[str]) -> int:
     argv = list(argv)
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.subcommand](argv, args)
+        if args.subcommand == "rep":
+            return _cmd_rep(args)
+        # The tolerances and the seed are read, and reported, only where a
+        # subcommand has the flag for them.
+        policy = _policy_from(args) if "rank_eps" in vars(args) else None
+        seed = _seed_from(args) if "seed" in vars(args) else None
+        result, code = _COMMANDS[args.subcommand](args, policy, seed)
+        _emit(
+            {
+                "schema": SCHEMA,
+                "command": argv,
+                "seed": seed,
+                "tolerances": None if policy is None else dataclasses.asdict(policy),
+                "result": result,
+            }
+        )
+        return code
     except _Exit as exc:
         return exc.args[0]
-    except UsageError as exc:
+    except (UsageError, EntclassError, ValueError) as exc:
         print(f"entclass: {exc}", file=sys.stderr)
-        return 1
-    except AmbiguityError as exc:
-        print(f"entclass: {exc}", file=sys.stderr)
-        return 2
-    except (StateFileError, EntclassError, ValueError) as exc:
-        print(f"entclass: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, AmbiguityError) else 1
 
 
 def main() -> None:

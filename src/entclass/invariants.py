@@ -189,7 +189,7 @@ def local_ranks(
     current tolerance policy.
     """
     _require_format(psi)
-    psi.require_normalized(atol=1e-9)
+    psi.require_normalized()
     return _local_spectra(psi.amplitudes, policy)[0]
 
 
@@ -313,7 +313,7 @@ def concurrence(rho: DensityMatrix | np.ndarray) -> float:
 def three_tangle(psi: StateTensor) -> float:
     """The three-tangle of a normalized 2x2x2 state: 4 |det222|."""
     _require_format(psi, 2)
-    psi.require_normalized(atol=1e-9)
+    psi.require_normalized()
     return 4.0 * abs(det222(psi))
 
 
@@ -326,7 +326,7 @@ def ckw_residual(psi: StateTensor) -> CkwReport:
     target and should vanish to roundoff.
     """
     _require_format(psi, 2)
-    psi.require_normalized(atol=1e-9)
+    psi.require_normalized()
     rho3 = reduced_density(psi, 2)
     c3_rest_sq = float(4.0 * np.linalg.det(rho3.entries).real)
     c13 = concurrence(reduced_density_pair(psi, 0, 2))

@@ -414,7 +414,7 @@ def amgm_bound_report(psi: StateTensor, pair: PovmPair, measure: str) -> AmgmBou
         raise FormatError(f"measure {measure} requires dims {dims}, got {psi.dims}")
     if not pair.is_diagonal_frame():
         raise FormatError("white-box report requires a diagonal-frame pair")
-    psi.require_normalized(atol=1e-9)
+    psi.require_normalized()
     k = pair.k
     if k != psi.dims[pair.party]:
         raise FormatError("pair dimension does not match the measured party")

@@ -46,6 +46,15 @@ def _as_factor(matrix) -> np.ndarray:
     return m
 
 
+def _checked_dims(dims: Sequence[int]) -> tuple[int, ...]:
+    dims = tuple(int(k) for k in dims)
+    if len(dims) < 1 or any(k < 1 for k in dims):
+        raise FormatError(f"invalid dims {dims}")
+    if any(k > MAX_LEVELS for k in dims):
+        raise FormatError(f"dims {dims} exceed the per-party cap {MAX_LEVELS}")
+    return dims
+
+
 def _is_invertible(matrix: np.ndarray) -> bool:
     rows, cols = matrix.shape
     if rows != cols:
@@ -70,11 +79,7 @@ class StateTensor:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(k) for k in self.dims)
-        if len(dims) < 1 or any(k < 1 for k in dims):
-            raise FormatError(f"invalid dims {dims}")
-        if any(k > MAX_LEVELS for k in dims):
-            raise FormatError(f"dims {dims} exceed the per-party cap {MAX_LEVELS}")
+        dims = _checked_dims(self.dims)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != dims:
             if amps.size == math.prod(dims):
@@ -117,8 +122,9 @@ class StateTensor:
     def normalize(self) -> "StateTensor":
         return StateTensor(self.dims, self.amplitudes / self.norm)
 
-    def require_normalized(self, atol: float = 1e-9) -> None:
-        if not self.is_normalized(atol):
+    def require_normalized(self) -> None:
+        """Raise unless the squared norm is within 1e-9 of 1."""
+        if not self.is_normalized(1e-9):
             norm = self.norm
             raise NormalizationError(
                 f"state has squared norm {norm * norm:.6g}, expected 1"
@@ -226,7 +232,7 @@ def make_state(
     normalize explicitly. Duplicate index tuples, out-of-range indices, and
     all-zero amplitude sets are rejected.
     """
-    dims = tuple(int(k) for k in dims)
+    dims = _checked_dims(dims)  # before the dense array is allocated
     if isinstance(entries, dict):
         entries = entries.items()
     amps = np.zeros(dims, dtype=complex)
@@ -265,14 +271,15 @@ _REPRESENTATIVE_PATTERNS: dict[ClassLabel, tuple[tuple[tuple[int, int, int], com
 }
 
 
-def representative(label: ClassLabel | str, n: int = 2) -> StateTensor:
+def representative(label: ClassLabel | str, n: int | None = None) -> StateTensor:
     """The normalized representative of a class, embedded in dims (2, 2, n).
 
     Requires n >= 2 and n at least the class's minimal Clare dimension
-    (4 for the generic 2x2x4 class, 3 for both 2x2x3 classes).
+    (4 for the generic 2x2x4 class, 3 for both 2x2x3 classes); the default
+    is the smallest such n.
     """
     label = ClassLabel.parse(label)
-    n = int(n)
+    n = max(2, label.min_clare_dim) if n is None else int(n)
     if n < 2:
         raise FormatError(f"representative requires n >= 2, got {n}")
     if n > MAX_LEVELS:
@@ -341,7 +348,7 @@ def reduced_density(psi: StateTensor, party: int) -> DensityMatrix:
     """
     if not 0 <= party < psi.party_count:
         raise FormatError(f"party {party} out of range for {psi.party_count} parties")
-    psi.require_normalized(atol=1e-9)
+    psi.require_normalized()
     a = _unfolding(psi.amplitudes, party)
     return DensityMatrix(psi.dims[party], a @ a.conj().T)
 
@@ -353,7 +360,7 @@ def reduced_density_pair(psi: StateTensor, first: int, second: int) -> DensityMa
     for p in (first, second):
         if not 0 <= p < psi.party_count:
             raise FormatError(f"party {p} out of range")
-    psi.require_normalized(atol=1e-9)
+    psi.require_normalized()
     rest = [p for p in range(psi.party_count) if p not in (first, second)]
     moved = np.transpose(psi.amplitudes, (first, second, *rest))
     k = psi.dims[first] * psi.dims[second]

@@ -14,8 +14,7 @@ def natural_n(label) -> int:
 
 
 def rep(label, n=None) -> ec.StateTensor:
-    label = ec.ClassLabel.parse(label)
-    return ec.representative(label, natural_n(label) if n is None else n)
+    return ec.representative(label, n)
 
 
 def svd_rank(m, policy=ec.DEFAULT_POLICY) -> int:

@@ -1,8 +1,12 @@
 """CLI subcommands: state files, reports, exit codes, determinism."""
 
+import contextlib
+import hashlib
 import io
 import json
 import math
+import os
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,9 @@ from entclass.cli import (
 from entclass.errors import StateFileError
 
 from conftest import ALL_LABELS, natural_n
+
+#: sha256 per report case; see ``report_digests``.
+DIGESTS = json.loads(Path(__file__).with_name("cli_report_digests.json").read_text())
 
 
 def invoke(argv, capsys):
@@ -95,6 +102,12 @@ def test_state_file_errors(tmp_path):
         ('{"dims": [2, 2, 2], "amplitudes": %s, "normalize": "false"}' % one, "'normalize'"),
         ('{"dims": [2, 2, 2], "amplitudes": [{"index": [0, 0, 0], "re": "0.5"}]}', re_im),
         ('{"dims": [2, 2, 2], "amplitudes": [{"index": [0, 0, 0], "re": 1, "im": true}]}', re_im),
+        # An integer beyond float range is an input error, not an OverflowError.
+        (
+            '{"dims": [2, 2, 2], "amplitudes": [%s, {"index": [1, 1, 1], "re": 1%s}]}'
+            % (one[1:-1], "0" * 400),
+            r"amplitudes\[1\]: 're' and 'im' exceed the float range",
+        ),
     ):
         bad.write_text(doc)
         with pytest.raises(StateFileError, match=field):
@@ -139,6 +152,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert code == 1
     code, _, err = invoke(["distill", "--target", "XYZ"], capsys)
     assert code == 1
+
+
+def test_dims_cap_checked_before_allocation(tmp_path, capsys):
+    # A huge Clare dimension must fail on the cap, not in allocating the
+    # dense amplitude array (5.82 TiB here).
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"dims": [2, 2, 100000000000], "amplitudes": [{"index": [0, 0, 0], "re": 1}]}'
+    )
+    code, out, err = invoke(["classify", "--in", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"entclass: {path}: dims (2, 2, 100000000000) exceed the per-party cap 16\n"
+    )
 
 
 def test_cli_ambiguity_exits_two(tmp_path, capsys, monkeypatch):
@@ -370,3 +397,50 @@ def test_tolerances_reported_only_where_used(argv, capsys, monkeypatch):
     code, out, err = invoke(argv, capsys)
     assert code == 0, err
     assert json.loads(out)["tolerances"] is None
+
+
+def report_digests(tmp_dir: str) -> dict[str, str]:
+    """sha256 of the exit code, stdout and stderr of each CLI report case.
+
+    The cases are rep, classify and invariants on the nine representatives
+    at their natural Clare dimension and at n = 16, the order, swap, distill,
+    monotone and dim reports, and usage and file errors. ``tmp_dir`` is
+    replaced by ``<tmp>`` in the keys and in the hashed text.
+    """
+    cases = [
+        ["order", "--dump"],
+        ["order", "--from", "224-generic", "--to", "B3"],
+        ["swap"],
+        *(["distill", "--target", target] for target in ("GHZ", "W", "BELL_AB")),
+        ["monotone", "--measure", "det223", "--trials", "600", "--seed", "11"],
+        ["dim", "--dims", "2,2,4"],
+        ["dim", "--dims", "2,2,2,2", "--delta", "0"],
+        ["dim", "--dims", "3,3,3"],
+        ["order", "--from", "GHZ"],
+        ["classify", "--in", os.path.join(tmp_dir, "missing.json")],
+    ]
+    for label in ALL_LABELS:
+        for size in ([], ["--n", "16"]):
+            path = os.path.join(tmp_dir, f"{label.name}{''.join(size)}.json")
+            rep = ["rep", "--class", label.name, *size]
+            cases += [rep, rep + ["--out", path]]
+            cases += [[command, "--in", path] for command in ("classify", "invariants")]
+    digests = {}
+    for argv in cases:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        text = f"{code}\n{out.getvalue()}\0{err.getvalue()}".replace(tmp_dir, "<tmp>")
+        key = " ".join(argv).replace(tmp_dir, "<tmp>")
+        digests[key] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
+
+
+def test_reports_match_parent_digests(tmp_path, monkeypatch):
+    # Refactors keep every report byte-identical; a deliberate change to a
+    # report regenerates cli_report_digests.json and says so in CHANGES.md.
+    for name in ("ENTCLASS_RANK_EPS", "ENTCLASS_DET_EPS", "ENTCLASS_SEED"):
+        monkeypatch.delenv(name, raising=False)
+    got = report_digests(str(tmp_path))
+    assert sorted(got) == sorted(DIGESTS)
+    assert [key for key in DIGESTS if got[key] != DIGESTS[key]] == []

@@ -72,6 +72,13 @@ def test_representative_w_at_n2():
         assert psi.amplitudes[idx] == pytest.approx(scale)
 
 
+@pytest.mark.parametrize("label", list(ec.ClassLabel), ids=lambda label: label.name)
+def test_representative_defaults_to_smallest_n(label):
+    n = max(2, label.min_clare_dim)
+    assert ec.representative(label).dims == (2, 2, n)
+    assert ec.representative(label).allclose(ec.representative(label, n), atol=0)
+
+
 @pytest.mark.parametrize("label,n", [("GEN224", 3), ("C223_GEN", 2), ("C223_DEG", 2)])
 def test_representative_label_n_incompatible(label, n):
     with pytest.raises(FormatError):
