@@ -171,6 +171,8 @@ def read_state_file(path: str) -> StateTensor:
         raise StateFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise StateFileError(f"{path}: invalid JSON at line {exc.lineno}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer over the str digit limit
+        raise StateFileError(f"{path}: {exc}") from exc
     return parse_state_document(doc, source=path)
 
 
@@ -327,8 +329,6 @@ def _cmd_state(args, policy, seed) -> tuple[dict, int]:
 
 
 def _cmd_monotone(args, policy, seed) -> tuple[dict, int]:
-    if args.trials < 1:
-        raise UsageError("--trials must be positive")
     party = None if args.party is None else args.party - 1
     summary = monte_carlo(args.measure, args.trials, seed, party=party)
     result = {

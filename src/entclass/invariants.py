@@ -26,7 +26,6 @@ from .numerics import DEFAULT_POLICY, TolerancePolicy
 from .tensor import (
     DensityMatrix,
     StateTensor,
-    _unfolding,
     flatten,
     reduced_density,
     reduced_density_pair,
@@ -145,37 +144,59 @@ def _require_format(psi: StateTensor, n: int | None = None) -> None:
         raise FormatError(f"expected dims (2, 2, {n}), got {psi.dims}")
 
 
+#: float64 machine epsilon, the unit of the density-route error band.
+_EPS = float(np.finfo(float).eps)
+
+
+def _qubit_spectrum(gram) -> tuple[float, float]:
+    """Ascending eigenvalues of the 2x2 Hermitian [[p, b*], [b, q]] (nested
+    Python numbers; the lower triangle is read, as by eigvalsh). lambda_max =
+    (p + q + hypot(p - q, 2|b|)) / 2 adds nonnegative terms: within 4 eps
+    lambda_max. lambda_min = (pq - |b|^2) / lambda_max, with pq and |b|^2 at
+    most lambda_max^2: within 10 eps lambda_max. Both are inside the band
+    delta = 16 eps lambda_max allowed to eigvalsh; unit trace keeps
+    lambda_max >= 1/2."""
+    (p, _), (b, q) = gram
+    p, q, b = p.real, q.real, abs(b)
+    top = (p + q + math.hypot(p - q, 2 * b)) / 2
+    return (p * q - b * b) / top, top
+
+
 def _local_spectra(amps: np.ndarray, policy: TolerancePolicy):
     """Local ranks of a normalized (2, 2, n) amplitude array, their smallest
     margin, and the reduced SVD (u, s) of the flattened state (the transpose
-    of Clare's unfolding). Unfoldings bypass the matrix cap of ``numerics``.
+    of Clare's unfolding). Alice's and Bob's unfoldings share one SVD.
 
-    The density eigenvalues lambda are squared singular values, so they meet
-    the squared threshold t^2; eigvalsh is exact only to delta = 8 k eps
-    lambda_0 > t^2, so the rank must lie in [#{lambda > t^2 + delta},
+    Each rank is checked against the eigenvalues lambda of the party's k x k
+    reduced density (closed form for Alice and Bob, eigvalsh for Clare).
+    They meet the squared threshold t^2 but are exact only to delta =
+    8 k eps lambda_0 > t^2, so the rank must lie in [#{lambda > t^2 + delta},
     #{lambda > t^2 - delta}]. At the default policy t^2 < delta for every n
     up to 16 (1.6e-17 against 3.5e-15 lambda_0 for a 2x4 unfolding), so the
     upper count is always k and the check is a lower bound on the rank. It
     is two-sided only when rank_rel_eps exceeds sqrt(8 k eps) / max_dim."""
-    f = amps.reshape(4, amps.shape[2])
+    f = amps.reshape(4, -1)
     u, s, _ = np.linalg.svd(f, full_matrices=False)
-    ranks, margins = [], []
-    for party, a in enumerate((_unfolding(amps, 0), _unfolding(amps, 1), f.T)):
-        svals = s if party == 2 else np.linalg.svd(a, compute_uv=False)
-        thr = policy.rank_threshold(float(svals[0]), max(a.shape))
-        rank = int(np.count_nonzero(svals > thr))
-        eigs = np.linalg.eigvalsh(a @ a.conj().T)
-        delta = 8 * a.shape[0] * np.finfo(float).eps * float(eigs[-1])
-        low = int(np.count_nonzero(eigs > thr * thr + delta))
-        high = int(np.count_nonzero(eigs > thr * thr - delta))
+    pair = np.concatenate((amps, amps.transpose(1, 0, 2))).reshape(2, 2, -1)
+    singular = np.linalg.svd(pair, compute_uv=False).tolist() + [s.tolist()]
+    grams = (pair @ pair.conj().transpose(0, 2, 1)).tolist()
+    density = [*map(_qubit_spectrum, grams), np.linalg.eigvalsh(f.T @ f.conj()).tolist()]
+    ranks, margin = [], math.inf
+    for party, (svals, eigs) in enumerate(zip(singular, density)):
+        k = len(eigs)  # the unfolding is k x (4n / k)
+        thr = policy.rank_threshold(svals[0], max(k, f.size // k))
+        rank = len([x for x in svals if x > thr])
+        thr_sq, delta = thr * thr, 8 * k * _EPS * eigs[-1]
+        low = len([e for e in eigs if e > thr_sq + delta])
+        high = len([e for e in eigs if e > thr_sq - delta])
         if not low <= rank <= high:
             raise NumericalInstabilityError(
                 f"party {party}: unfolding rank {rank} outside the density band "
-                f"[{low}, {high}] (threshold {thr * thr:.3g} +- {delta:.3g})"
+                f"[{low}, {high}] (threshold {thr_sq:.3g} +- {delta:.3g})"
             )
         ranks.append(rank)
-        margins.append(_rank_margin(svals, rank, thr))
-    return tuple(ranks), min(margins), u, s
+        margin = min(margin, _rank_margin(svals, rank, thr))
+    return tuple(ranks), margin, u, s
 
 
 def local_ranks(
@@ -227,10 +248,9 @@ def _rank_rtr(f: np.ndarray, policy: TolerancePolicy) -> RtrResult:
         raise NumericalInstabilityError(
             "magic-basis and spin-flip routes to R^T R disagree"
         )
-    svals = np.linalg.svd(via_magic, compute_uv=False)
-    thr = policy.rank_threshold(norm_sq, via_magic.shape[0])
-    rank = int(np.count_nonzero(svals > thr))
-    return RtrResult(rank, tuple(float(s) for s in svals))
+    svals = np.linalg.svd(via_magic, compute_uv=False).tolist()
+    thr = policy.rank_threshold(norm_sq, len(svals))
+    return RtrResult(len([x for x in svals if x > thr]), tuple(svals))
 
 
 def det222(psi: StateTensor) -> complex:
@@ -351,13 +371,11 @@ def nonlocal_dimension(dims, delta: int) -> DimensionCount:
     return DimensionCount(dims, delta)
 
 
-def _rank_margin(svals: np.ndarray, rank: int, threshold: float) -> float:
+def _rank_margin(svals, rank: int, threshold: float) -> float:
     """Distance of a rank decision from its threshold: the smaller gap to the
     smallest kept and to the largest dropped of the descending ``svals``."""
-    gaps = [float(svals[rank - 1]) - threshold] if rank else []
-    if rank < len(svals):
-        gaps.append(threshold - float(svals[rank]))
-    return min(gaps, default=0.0)
+    kept = svals[rank - 1] - threshold if rank else math.inf
+    return min(kept, threshold - svals[rank]) if rank < len(svals) else kept
 
 
 def invariant_report(

@@ -282,8 +282,6 @@ def representative(label: ClassLabel | str, n: int | None = None) -> StateTensor
     n = max(2, label.min_clare_dim) if n is None else int(n)
     if n < 2:
         raise FormatError(f"representative requires n >= 2, got {n}")
-    if n > MAX_LEVELS:
-        raise FormatError(f"n={n} exceeds the per-party cap {MAX_LEVELS}")
     needed = label.min_clare_dim
     if n < needed:
         raise FormatError(
@@ -335,12 +333,6 @@ def unflatten(matrix) -> StateTensor:
     return StateTensor((2, 2, m.shape[1]), m.reshape(2, 2, m.shape[1]))
 
 
-def _unfolding(amplitudes: np.ndarray, party: int) -> np.ndarray:
-    """Party-vs-rest coefficient matrix, shape (k_party, rest)."""
-    rest = [p for p in range(amplitudes.ndim) if p != party]
-    return amplitudes.transpose(party, *rest).reshape(amplitudes.shape[party], -1)
-
-
 def reduced_density(psi: StateTensor, party: int) -> DensityMatrix:
     """Partial trace over all parties except ``party`` (0-based).
 
@@ -349,7 +341,7 @@ def reduced_density(psi: StateTensor, party: int) -> DensityMatrix:
     if not 0 <= party < psi.party_count:
         raise FormatError(f"party {party} out of range for {psi.party_count} parties")
     psi.require_normalized()
-    a = _unfolding(psi.amplitudes, party)
+    a = np.moveaxis(psi.amplitudes, party, 0).reshape(psi.dims[party], -1)
     return DensityMatrix(psi.dims[party], a @ a.conj().T)
 
 

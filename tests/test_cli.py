@@ -168,6 +168,31 @@ def test_dims_cap_checked_before_allocation(tmp_path, capsys):
     )
 
 
+def test_overlong_integer_literal_is_a_state_file_error(tmp_path, capsys):
+    # json.load raises a plain ValueError for an integer of more than 4,300
+    # digits; it must name the file like every other state-file error.
+    path = tmp_path / "long.json"
+    path.write_text(
+        '{"dims": [2, 2, 2], "amplitudes": [{"index": [0, 0, 0], "re": 1%s}]}'
+        % ("0" * 5000)
+    )
+    with pytest.raises(StateFileError, match="long.json: Exceeds the limit"):
+        read_state_file(str(path))
+    code, out, err = invoke(["classify", "--in", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"entclass: {path}: Exceeds the limit (4300 digits)")
+
+
+def test_duplicate_range_checks_left_to_the_library(capsys):
+    # --trials and rep --n are checked where the work is done; the exit
+    # codes are those of any other input error.
+    code, out, err = invoke(["monotone", "--measure", "det222", "--trials", "0"], capsys)
+    assert (code, out, err) == (1, "", "entclass: trials must be positive\n")
+    code, out, err = invoke(["rep", "--class", "GHZ", "--n", "17"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "entclass: dims (2, 2, 17) exceed the per-party cap 16\n"
+
+
 def test_cli_ambiguity_exits_two(tmp_path, capsys, monkeypatch):
     # Exit code 2 is reserved for the classifier's det/rank disagreement.
     from entclass.errors import AmbiguityError

@@ -1,17 +1,27 @@
 """The invariant suite: ranks, the magic-basis form, hyperdeterminants,
 concurrence, the three-tangle, monogamy residuals, dimension counts."""
 
+import dataclasses
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import entclass as ec
-from entclass.errors import FormatError
+from entclass import invariants
+from entclass.errors import FormatError, NumericalInstabilityError
 
-from conftest import random_invertible_op, rep
+from conftest import ALL_LABELS, natural_n, random_invertible_op, rep
 
 SQ2 = math.sqrt(2.0)
+
+#: sha256 per generic-float report case; see ``invariant_report_digests``.
+DIGESTS = json.loads(
+    Path(__file__).with_name("invariant_report_digests.json").read_text()
+)
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +63,68 @@ def test_local_ranks_requires_normalization():
     psi = ec.make_state((2, 2, 2), {(0, 0, 0): 1, (1, 1, 1): 1})
     with pytest.raises(ec.NormalizationError):
         ec.local_ranks(psi)
+
+
+def conditioned_op(dims, cond, gen) -> ec.LocalOperation:
+    """Factors U diag(1 ... 1/cond) V with Haar U and V: condition number cond."""
+    return ec.LocalOperation(
+        tuple(
+            ec.random_unitary(k, gen)
+            @ np.diag(np.logspace(0, -math.log10(cond), k))
+            @ ec.random_unitary(k, gen)
+            for k in dims
+        )
+    )
+
+
+def closed_form_cases(family):
+    gen = ec.RandomSource(77).generator()
+    if family == "random":
+        return [ec.random_state((2, 2, n), gen) for n in range(1, 17) for _ in range(5)]
+    if family == "dressed":
+        return [
+            ec.apply_local(conditioned_op(rep(label).dims, cond, gen), rep(label))
+            for cond in (1.0, 10.0, 1e3, 1e4)
+            for label in ALL_LABELS
+            for _ in range(5)
+        ]
+    if family == "b3_plus_w":
+        b3, w = rep("B3").amplitudes, rep("W").amplitudes
+        return [ec.StateTensor((2, 2, 2), b3 + eps * w) for eps in np.logspace(-3, -14, 12)]
+    scaled = [rep(label) for label in ALL_LABELS]
+    scaled += [ec.random_state((2, 2, n), gen) for n in (1, 3, 16)]
+    return [
+        ec.StateTensor(psi.dims, psi.amplitudes * scale)
+        for psi in scaled
+        for scale in (1e-300, 1e300)
+    ]
+
+
+@pytest.mark.parametrize("family", ["random", "dressed", "b3_plus_w", "scaled"])
+def test_qubit_spectrum_matches_eigvalsh(family):
+    # Alice's and Bob's closed-form density spectra stay within the band
+    # delta = 16 eps lambda_0 that the rank cross-check allows eigvalsh, on
+    # the Gram matrices of the normalized state the kernel builds.
+    eps = np.finfo(float).eps
+    for psi in closed_form_cases(family):
+        amps = psi.amplitudes / psi.norm
+        pair = np.concatenate((amps, amps.transpose(1, 0, 2)))
+        pair = pair.reshape(2, 2, 2 * psi.dims[2])
+        for gram in pair @ pair.conj().transpose(0, 2, 1):
+            want = np.linalg.eigvalsh(gram)
+            got = invariants._qubit_spectrum(gram.tolist())
+            assert np.abs(np.subtract(got, want)).max() <= 16 * eps * want[-1]
+
+
+@pytest.mark.parametrize(
+    "label,spectrum,band",
+    [("SEP", (0.5, 0.5), r"rank 1 outside the density band \[2, 2\]"),
+     ("GHZ", (-1.0, 1.0), r"rank 2 outside the density band \[1, 1\]")],
+)
+def test_density_route_disagreement_raises(label, spectrum, band, monkeypatch):
+    monkeypatch.setattr(invariants, "_qubit_spectrum", lambda gram: spectrum)
+    with pytest.raises(NumericalInstabilityError, match="party 0: unfolding " + band):
+        ec.invariant_report(rep(label))
 
 
 # ---------------------------------------------------------------------------
@@ -319,3 +391,43 @@ def test_report_margins_positive_for_clean_states():
     assert report.margins["det222"] > 0.1
     assert report.margins["local_ranks"] > 1e-3
     assert report.margins["rank_rtr"] > 1e-3
+
+
+def invariant_report_digests() -> dict[str, str]:
+    """sha256 of the repr of the label and of every InvariantReport field.
+
+    The cases are the nine representatives under 20 seeded random SL
+    dressings each, at their natural Clare dimension and at n = 16, and
+    each representative scaled by 1e-300 and by 1e300. Unlike the CLI
+    digests, whose exact representatives have trivially exact spectra,
+    these states exercise every rounding step of the invariant kernel.
+    """
+    cases = {}
+    for c, label in enumerate(ALL_LABELS):
+        for n in (natural_n(label), 16):
+            psi = ec.representative(label, n)
+            for i in range(20):
+                gen = ec.RandomSource(9, 40 * c + (20 if n == 16 else 0) + i).generator()
+                cases[f"{label.name} n={n} seed={i}"] = ec.apply_local(
+                    random_invertible_op(psi.dims, gen), psi
+                )
+        for scale in (1e-300, 1e300):
+            psi = rep(label)
+            cases[f"{label.name} x{scale:g}"] = ec.StateTensor(
+                psi.dims, psi.amplitudes * scale
+            )
+    digests = {}
+    for key, psi in cases.items():
+        label, report = ec.classify(psi)
+        texts = [repr(label)]
+        texts += [repr(getattr(report, f.name)) for f in dataclasses.fields(report)]
+        digests[key] = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    return digests
+
+
+def test_invariant_reports_match_parent_digests():
+    # Kernel rewrites keep every report field bit for bit; a deliberate
+    # change regenerates invariant_report_digests.json and says so.
+    got = invariant_report_digests()
+    assert sorted(got) == sorted(DIGESTS)
+    assert [key for key in DIGESTS if got[key] != DIGESTS[key]] == []

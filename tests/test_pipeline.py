@@ -17,8 +17,9 @@ POLICY = ec.DEFAULT_POLICY
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count np.linalg.svd calls and apply_local calls through any binding."""
-    counts = {"svd": 0, "apply_local": 0}
+    """Count np.linalg.svd, np.linalg.eigvalsh and apply_local calls through
+    any binding."""
+    counts = {"svd": 0, "eigvalsh": 0, "apply_local": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -28,6 +29,7 @@ def counted(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
     original = ec.tensor.apply_local
     wrapped = counting("apply_local", original)
     for name, module in list(sys.modules.items()):
@@ -42,7 +44,8 @@ def counted(monkeypatch):
 def test_classify_call_budget(label, n, counted):
     psi = ec.representative(label, natural_n(label) if n is None else n)
     assert ec.classify(psi)[0] == label
-    assert counted["svd"] <= 4
+    assert counted["svd"] <= 3
+    assert counted["eigvalsh"] <= 1
     assert counted["apply_local"] == 0
 
 
