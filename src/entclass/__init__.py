@@ -77,7 +77,6 @@ from .monotone import (
 )
 from .numerics import (
     DEFAULT_POLICY,
-    MAX_MATRIX_DIM,
     RandomSource,
     TolerancePolicy,
     random_sl,

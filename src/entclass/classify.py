@@ -139,9 +139,8 @@ def _edge_witnesses() -> dict[tuple[ClassLabel, ClassLabel], LocalOperation]:
 
 @dataclass(frozen=True)
 class PartialOrder:
-    """The conversion DAG: nodes, covering edges, and the witness catalog."""
+    """The conversion DAG on ``tuple(ClassLabel)``: covering edges, witnesses."""
 
-    nodes: tuple[ClassLabel, ...]
     edges: tuple[tuple[ClassLabel, ClassLabel], ...]
     witnesses: dict[tuple[ClassLabel, ClassLabel], LocalOperation]
 
@@ -167,11 +166,7 @@ class PartialOrder:
 @functools.lru_cache(maxsize=1)
 def partial_order() -> PartialOrder:
     witnesses = _edge_witnesses()
-    return PartialOrder(
-        nodes=tuple(ClassLabel),
-        edges=tuple(witnesses.keys()),
-        witnesses=witnesses,
-    )
+    return PartialOrder(edges=tuple(witnesses.keys()), witnesses=witnesses)
 
 
 def hasse_edges() -> list[tuple[ClassLabel, ClassLabel]]:

@@ -31,7 +31,6 @@ import numpy as np
 from . import __version__
 from .classify import (
     classify,
-    grade,
     hasse_edges,
     reachable,
     witness_chain,
@@ -45,9 +44,14 @@ from .invariants import (
     nonlocal_dimension,
 )
 from .labels import ClassLabel
-from .monotone import monte_carlo
+from .monotone import MEASURES, monte_carlo
 from .numerics import DEFAULT_POLICY, TolerancePolicy
-from .protocols import ProtocolOutcome, distill_from_generic, entanglement_swap
+from .protocols import (
+    _DISTILL_BRANCHES,
+    ProtocolOutcome,
+    distill_from_generic,
+    entanglement_swap,
+)
 from .tensor import LocalOperation, StateTensor, make_state, representative
 
 SCHEMA = "entclass-report/1"
@@ -258,7 +262,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--det-eps", type=float, default=None)
 
     p = sub.add_parser("monotone", help="seeded averaged-measure trials")
-    p.add_argument("--measure", choices=sorted(["det222", "det223"]), required=True)
+    p.add_argument("--measure", choices=sorted(MEASURES), required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--party", type=int, choices=(1, 2, 3), default=None)
@@ -271,7 +275,7 @@ def _build_parser() -> _Parser:
     sub.add_parser("swap", help="entanglement-swapping trace")
 
     p = sub.add_parser("distill", help="distillation trace from the generic class")
-    p.add_argument("--target", choices=["GHZ", "W", "BELL_AB"], required=True)
+    p.add_argument("--target", choices=list(_DISTILL_BRANCHES), required=True)
 
     p = sub.add_parser("rep", help="write a class representative state file")
     p.add_argument("--class", dest="class_label", required=True)
@@ -285,7 +289,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _env_fallback(name: str, cast, default):
+def _flag_or_env(flag, name: str, cast, default):
+    """The flag if given, else the environment variable ``name``, else ``default``."""
+    if flag is not None:
+        return flag
     env = os.environ.get(name)
     try:
         return cast(env) if env else default
@@ -294,16 +301,10 @@ def _env_fallback(name: str, cast, default):
 
 
 def _policy_from(args) -> TolerancePolicy:
-    rank_eps, det_eps = args.rank_eps, args.det_eps
-    if rank_eps is None:
-        rank_eps = _env_fallback(ENV_RANK_EPS, float, DEFAULT_POLICY.rank_rel_eps)
-    if det_eps is None:
-        det_eps = _env_fallback(ENV_DET_EPS, float, DEFAULT_POLICY.det_rel_eps)
-    return TolerancePolicy(rank_rel_eps=rank_eps, det_rel_eps=det_eps)
-
-
-def _seed_from(args) -> int:
-    return _env_fallback(ENV_SEED, int, 0) if args.seed is None else args.seed
+    return TolerancePolicy(
+        rank_rel_eps=_flag_or_env(args.rank_eps, ENV_RANK_EPS, float, DEFAULT_POLICY.rank_rel_eps),
+        det_rel_eps=_flag_or_env(args.det_eps, ENV_DET_EPS, float, DEFAULT_POLICY.det_rel_eps),
+    )
 
 
 def _emit(doc: Any, out=None) -> None:
@@ -346,7 +347,7 @@ def _cmd_monotone(args, policy, seed) -> tuple[dict, int]:
 
 
 def _cmd_order(args, policy, seed) -> tuple[dict, int]:
-    if args.dump == bool(args.from_label and args.to_label):
+    if (args.dump, args.dump) != (not args.from_label, not args.to_label):
         raise UsageError("use either --dump or both --from and --to")
     if args.dump:
         result = {
@@ -414,9 +415,12 @@ def _cmd_rep(args) -> int:
     doc = state_document(representative(args.class_label, args.n))
     if args.out == "-":
         _emit(doc)
-    else:
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8") as fp:
             _emit(doc, out=fp)
+    except OSError as exc:
+        raise StateFileError(f"cannot write {args.out}: {exc}") from exc
     return 0
 
 
@@ -441,7 +445,7 @@ def run(argv: Sequence[str]) -> int:
         # The tolerances and the seed are read, and reported, only where a
         # subcommand has the flag for them.
         policy = _policy_from(args) if "rank_eps" in vars(args) else None
-        seed = _seed_from(args) if "seed" in vars(args) else None
+        seed = _flag_or_env(args.seed, ENV_SEED, int, 0) if "seed" in vars(args) else None
         result, code = _COMMANDS[args.subcommand](args, policy, seed)
         _emit(
             {

@@ -235,22 +235,24 @@ def rank_rtr(
     value would promote pure matmul roundoff to full rank whenever the form
     vanishes identically, as it does on the biseparable classes.
     """
-    return _rank_rtr(flatten(psi), policy)
+    norm = psi.norm
+    return _rank_rtr(flatten(psi), norm * norm, policy)[0]
 
 
-def _rank_rtr(f: np.ndarray, policy: TolerancePolicy) -> RtrResult:
-    """``rank_rtr`` on the flattened 4xn amplitude matrix."""
+def _rank_rtr(f: np.ndarray, norm_sq: float, policy: TolerancePolicy):
+    """``rank_rtr`` on the flattened 4xn amplitude matrix of squared norm
+    ``norm_sq``, with the rank's margin from the same threshold."""
     r = MAGIC_BASIS @ f
     via_magic = r.T @ r
     via_flip = BILINEAR_SIGN * (f.T @ SPIN_FLIP @ f)
-    norm_sq = float(np.linalg.norm(f)) ** 2
     if np.abs(via_magic - via_flip).max() > 1e-10 * max(1.0, norm_sq):
         raise NumericalInstabilityError(
             "magic-basis and spin-flip routes to R^T R disagree"
         )
     svals = np.linalg.svd(via_magic, compute_uv=False).tolist()
     thr = policy.rank_threshold(norm_sq, len(svals))
-    return RtrResult(len([x for x in svals if x > thr]), tuple(svals))
+    rank = len([x for x in svals if x > thr])
+    return RtrResult(rank, tuple(svals)), _rank_margin(svals, rank, thr)
 
 
 def det222(psi: StateTensor) -> complex:
@@ -394,12 +396,8 @@ def invariant_report(
     if not np.isfinite(amps).all():
         raise FormatError(f"normalizing by {norm:.6g} left non-finite amplitudes")
     ranks, local_margin, u, s = _local_spectra(amps, policy)
-    rtr = _rank_rtr(amps.reshape(4, -1), policy)
-    rtr_thr = policy.rank_threshold(1.0, len(rtr.singular_values))
-    margins = {
-        "local_ranks": local_margin,
-        "rank_rtr": _rank_margin(rtr.singular_values, rtr.rank, rtr_thr),
-    }
+    rtr, rtr_margin = _rank_rtr(amps.reshape(4, -1), 1.0, policy)
+    margins = {"local_ranks": local_margin, "rank_rtr": rtr_margin}
     # Adjusted states have unit norm, up to the dropped sub-threshold weight.
     r3 = ranks[2]
     det222_val = det223_val = None

@@ -28,9 +28,9 @@ import numpy as np
 from .errors import FormatError, NormalizationError, ProofChainError
 from .invariants import _det222, _det223, det222, det223
 from .numerics import (
-    MAX_MATRIX_DIM,
     RandomSource,
     _as_generator,
+    _check_k,
     _draw_state,
     _haar,
     _substreams,
@@ -59,13 +59,17 @@ _SLACK_ABS_FLOOR = 1e-14
 _BLOCK = 64
 
 
-def _measure(measure: str):
+def _measure(measure: str, psi: StateTensor | None = None):
+    """The MEASURES entry of ``measure``; with ``psi``, also check its dims."""
     try:
-        return MEASURES[measure]
+        entry = MEASURES[measure]
     except KeyError:
         raise FormatError(
             f"unknown measure {measure!r}; expected one of {sorted(MEASURES)}"
         ) from None
+    if psi is not None and psi.dims != entry[1]:
+        raise FormatError(f"measure {measure} requires dims {entry[1]}, got {psi.dims}")
+    return entry
 
 
 def _pair_elements(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -231,10 +235,7 @@ def random_povm_pair(
     Nearly one-sided draws (an all-ones or all-zeros diagonal) would make one
     element numerically zero; they are resampled.
     """
-    if k < 2:
-        raise FormatError(f"random_povm_pair requires k >= 2, got {k}")
-    if k > MAX_MATRIX_DIM:
-        raise FormatError(f"k={k} exceeds cap {MAX_MATRIX_DIM}")
+    _check_k("random_povm_pair", k, 2)
     alphas, normals = _draw_pair(_as_generator(rng), k)
     u1, u2, v = _haar(normals.reshape(3, 2, k, k))
     return PovmPair(
@@ -253,8 +254,7 @@ def equality_case_povm(k: int, alpha: float, party: int = 0) -> PovmPair:
     Both elements are multiples of the identity, so every outcome state
     equals the input and the averaged measure is conserved exactly.
     """
-    if k < 2:
-        raise FormatError(f"equality_case_povm requires k >= 2, got {k}")
+    _check_k("equality_case_povm", k, 2)
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise FormatError(f"alpha must lie strictly inside (0, 1), got {alpha}")
@@ -383,9 +383,7 @@ def check_monotone(psi: StateTensor, pair: PovmPair, measure: str) -> MonotoneCh
     violations are allowed) with a tiny absolute floor for states whose
     measure vanishes identically.
     """
-    _, dims, _ = _measure(measure)
-    if psi.dims != dims:
-        raise FormatError(f"measure {measure} requires dims {dims}, got {psi.dims}")
+    _measure(measure, psi)
     groups = [(pair.party, [0], pair._elements[None])]
     return _check(_evaluate(measure, psi.amplitudes[None], groups), 0)
 
@@ -409,9 +407,7 @@ def amgm_bound_report(psi: StateTensor, pair: PovmPair, measure: str) -> AmgmBou
     (all equal to 1/sqrt(k)); inputs outside that locus raise, because there
     the majorant genuinely exceeds one while the reduced sum still does not.
     """
-    fn, dims, degree = _measure(measure)
-    if psi.dims != dims:
-        raise FormatError(f"measure {measure} requires dims {dims}, got {psi.dims}")
+    degree = _measure(measure, psi)[2]
     if not pair.is_diagonal_frame():
         raise FormatError("white-box report requires a diagonal-frame pair")
     psi.require_normalized()

@@ -21,10 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
-from .tensor import StateTensor
-
-#: Largest matrix side handled by this module (and by the library overall).
-MAX_MATRIX_DIM = 16
+from .tensor import MAX_LEVELS, StateTensor
 
 
 @dataclass(frozen=True)
@@ -88,6 +85,14 @@ def _as_generator(rng: RandomSource | np.random.Generator) -> np.random.Generato
     raise TypeError(f"expected RandomSource or numpy Generator, got {type(rng)!r}")
 
 
+def _check_k(name: str, k: int, low: int) -> None:
+    """Raise unless ``name``'s matrix side k lies in [low, MAX_LEVELS]."""
+    if k < low:
+        raise FormatError(f"{name} requires k >= {low}, got {k}")
+    if k > MAX_LEVELS:
+        raise FormatError(f"k={k} exceeds cap {MAX_LEVELS}")
+
+
 def random_sl(k: int, rng: RandomSource | np.random.Generator) -> np.ndarray:
     """A random k x k complex matrix with determinant 1.
 
@@ -95,10 +100,7 @@ def random_sl(k: int, rng: RandomSource | np.random.Generator) -> np.ndarray:
     principal branch; only modulus-type quantities are consumed downstream,
     so the branch choice is immaterial beyond determinism.
     """
-    if k < 2:
-        raise FormatError(f"random_sl requires k >= 2, got {k}")
-    if k > MAX_MATRIX_DIM:
-        raise FormatError(f"k={k} exceeds cap {MAX_MATRIX_DIM}")
+    _check_k("random_sl", k, 2)
     gen = _as_generator(rng)
     for _ in range(100):
         m = (gen.standard_normal((k, k)) + 1j * gen.standard_normal((k, k))) / np.sqrt(2)
@@ -137,10 +139,7 @@ def _haar(normals: np.ndarray) -> np.ndarray:
 
 def random_unitary(k: int, rng: RandomSource | np.random.Generator) -> np.ndarray:
     """A Haar-distributed k x k unitary (Gaussian + QR with phase fix)."""
-    if k < 1:
-        raise FormatError(f"random_unitary requires k >= 1, got {k}")
-    if k > MAX_MATRIX_DIM:
-        raise FormatError(f"k={k} exceeds cap {MAX_MATRIX_DIM}")
+    _check_k("random_unitary", k, 1)
     return _haar(_as_generator(rng).standard_normal((2, k, k)))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .classify import classify
 from .errors import FormatError
 from .labels import ClassLabel
-from .tensor import LocalOperation, StateTensor, apply_local, make_state
+from .tensor import LocalOperation, StateTensor, apply_local, representative
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -66,10 +66,9 @@ def two_bell() -> StateTensor:
     """Two Bell pairs over three parties, Clare holding one qubit of each.
 
     Clare's index is c = 2*c1 + c2, so the amplitudes sit at
-    (a, b, 2a + b) with value 1/2; dims are (2, 2, 4).
+    (a, b, 2a + b) with value 1/2: the generic 2x2x4 class representative.
     """
-    entries = {(a, b, 2 * a + b): 0.5 for a in range(2) for b in range(2)}
-    return make_state((2, 2, 4), entries)
+    return representative(ClassLabel.GEN224)
 
 
 def _clare_branch(
@@ -115,6 +114,13 @@ _GHZ_BRANCHES = (
     ("ghz-flipped", _GHZ_COMPLEMENT, (_I2, _X, _I2)),
 )
 
+#: The reported branch of each distillation target: name, element, recovery.
+_DISTILL_BRANCHES = {
+    "GHZ": _GHZ_BRANCHES[0],
+    "W": ("w-direct", _W_ELEMENT, None),
+    "BELL_AB": _bell_branch(*BELL_VECTORS[0]),
+}
+
 
 def distill_ghz_branches() -> list[ProtocolOutcome]:
     """The complete two-outcome Clare measurement whose every branch is GHZ.
@@ -136,12 +142,6 @@ def distill_from_generic(target: ClassLabel | str) -> ProtocolOutcome:
     probability 1/4, class B3). Only the reported branch is computed.
     """
     key = str(target).strip().upper().replace("-", "_")
-    if key == "BELL_AB":
-        branch = _bell_branch(*BELL_VECTORS[0])
-    elif key == "GHZ":
-        branch = _GHZ_BRANCHES[0]
-    elif key == "W":
-        branch = ("w-direct", _W_ELEMENT, None)
-    else:
+    if key not in _DISTILL_BRANCHES:
         raise FormatError(f"unknown distillation target {target!r}")
-    return _clare_branch(two_bell(), *branch)
+    return _clare_branch(two_bell(), *_DISTILL_BRANCHES[key])

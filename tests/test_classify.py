@@ -1,9 +1,12 @@
 """Decision procedure, cross-checks, and the conversion partial order."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 import entclass as ec
+from entclass import labels
 from entclass.classify import _cross_check, _rank_vote, partial_order
 from entclass.errors import AmbiguityError, SignatureError
 
@@ -104,6 +107,26 @@ def test_grades():
     assert ec.grade("GHZ") == ec.grade("W") == 3
     assert ec.grade("B1") == ec.grade("B2") == ec.grade("B3") == 2
     assert ec.grade("separable") == 1
+
+
+def test_each_label_is_one_row():
+    # Display name, rank signature and grade live in the member's own row.
+    rows = {label.name: (label.value, label.rank_signature, label.grade) for label in ec.ClassLabel}
+    assert rows == {
+        "SEP": ("separable", (1, 1, 1), 1),
+        "B1": ("B1", (1, 2, 2), 2),
+        "B2": ("B2", (2, 1, 2), 2),
+        "B3": ("B3", (2, 2, 1), 2),
+        "W": ("W", (2, 2, 2), 3),
+        "GHZ": ("GHZ", (2, 2, 2), 3),
+        "C223_DEG": ("223-degenerate", (2, 2, 3), 4),
+        "C223_GEN": ("223-generic", (2, 2, 3), 4),
+        "GEN224": ("224-generic", (2, 2, 4), 5),
+    }
+    for label in ec.ClassLabel:
+        assert ec.ClassLabel(label.value) is label
+        assert pickle.loads(pickle.dumps(label)) is label
+    assert not hasattr(labels, "_SIGNATURES") and not hasattr(labels, "_GRADES")
 
 
 def test_hasse_edge_set_exact():

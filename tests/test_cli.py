@@ -193,6 +193,24 @@ def test_duplicate_range_checks_left_to_the_library(capsys):
     assert err == "entclass: dims (2, 2, 17) exceed the per-party cap 16\n"
 
 
+@pytest.mark.parametrize("target", ["missing-dir/rep.json", "."], ids=["missing-dir", "directory"])
+def test_rep_unwritable_out_is_an_input_error(tmp_path, capsys, target):
+    # A path that cannot be opened for writing is reported, not raised.
+    path = str(tmp_path / target)
+    code, out, err = invoke(["rep", "--class", "GHZ", "--out", path], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"entclass: cannot write {path}: ")
+
+
+@pytest.mark.parametrize(
+    "extra", [["--from", "GHZ"], ["--to", "W"], ["--from", "GHZ", "--to", "W"]]
+)
+def test_order_dump_rejects_from_and_to(capsys, extra):
+    code, out, err = invoke(["order", "--dump", *extra], capsys)
+    assert (code, out) == (1, "")
+    assert err == "entclass: use either --dump or both --from and --to\n"
+
+
 def test_cli_ambiguity_exits_two(tmp_path, capsys, monkeypatch):
     # Exit code 2 is reserved for the classifier's det/rank disagreement.
     from entclass.errors import AmbiguityError

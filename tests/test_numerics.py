@@ -48,6 +48,26 @@ def test_random_sl_unit_determinant(gen):
         assert abs(np.linalg.det(m) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "draw, low",
+    [
+        (lambda k: ec.random_sl(k, ec.RandomSource(1)), 2),
+        (lambda k: ec.random_unitary(k, ec.RandomSource(1)), 1),
+        (lambda k: ec.random_povm_pair(k, ec.RandomSource(1)), 2),
+        (lambda k: ec.equality_case_povm(k, 0.5), 2),
+    ],
+    ids=["random_sl", "random_unitary", "random_povm_pair", "equality_case_povm"],
+)
+def test_matrix_constructors_share_one_k_range(draw, low):
+    # Every constructor takes k from low up to the per-party cap MAX_LEVELS.
+    draw(low)
+    draw(ec.MAX_LEVELS)
+    with pytest.raises(ec.FormatError, match=f"requires k >= {low}, got {low - 1}"):
+        draw(low - 1)
+    with pytest.raises(ec.FormatError, match="k=17 exceeds cap 16"):
+        draw(ec.MAX_LEVELS + 1)
+
+
 def test_random_sl_distinct_seeds_differ():
     a = ec.random_sl(2, ec.RandomSource(1))
     b = ec.random_sl(2, ec.RandomSource(2))

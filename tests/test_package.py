@@ -1,6 +1,8 @@
-"""The package's export list."""
+"""The package's export list and the hygiene of its modules."""
 
+import ast
 import types
+from pathlib import Path
 
 import entclass as ec
 
@@ -23,6 +25,33 @@ def test_pre_pipeline_helpers_are_gone():
         "OutcomeEnsemble",
         "DET_DEGREES",
         "RNG_ALGORITHM",
+        "MAX_MATRIX_DIM",
     ):
         assert not hasattr(ec, name), name
     assert not hasattr(ec.RandomSource, "substream")
+    assert not hasattr(ec.partial_order(), "nodes")
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads (``from __future__`` aside)."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # The package's __init__ imports to re-export: its exports count as used.
+    found = []
+    for path in sorted(Path(ec.__file__).parent.glob("*.py")):
+        unused = _unused_imports(path)
+        if path.name == "__init__.py":
+            unused = [entry for entry in unused if entry.split()[-1] not in ec.__all__]
+        found += unused
+    assert found == []
