@@ -45,16 +45,12 @@ from .invariants import (
     CkwReport,
     DimensionCount,
     InvariantReport,
-    RtrResult,
     ckw_residual,
     concurrence,
     det222,
     det223,
     invariant_report,
-    local_ranks,
     nonlocal_dimension,
-    r_matrix,
-    rank_rtr,
     three_tangle,
 )
 from .labels import ClassLabel
@@ -97,12 +93,10 @@ from .tensor import (
     LocalOperation,
     StateTensor,
     apply_local,
-    flatten,
     make_state,
     reduced_density,
     reduced_density_pair,
     representative,
-    unflatten,
 )
 
 #: Every public name imported above; submodules are not exports.

@@ -26,7 +26,6 @@ from .numerics import DEFAULT_POLICY, TolerancePolicy
 from .tensor import (
     DensityMatrix,
     StateTensor,
-    flatten,
     reduced_density,
     reduced_density_pair,
 )
@@ -90,11 +89,6 @@ class InvariantReport:
     norm: float
     tolerances: TolerancePolicy
     margins: dict[str, float]
-
-
-class RtrResult(NamedTuple):
-    rank: int
-    singular_values: tuple[float, ...]
 
 
 class CkwReport(NamedTuple):
@@ -199,60 +193,34 @@ def _local_spectra(amps: np.ndarray, policy: TolerancePolicy):
     return tuple(ranks), margin, u, s
 
 
-def local_ranks(
-    psi: StateTensor, policy: TolerancePolicy = DEFAULT_POLICY
-) -> tuple[int, int, int]:
-    """Ranks of the three reduced density matrices of a normalized state.
-
-    Computed twice: as the rank of each party-vs-rest unfolding and from the
-    spectrum of each reduced density matrix. The two routes must agree; a
-    disagreement means the state sits too close to a rank boundary for the
-    current tolerance policy.
-    """
-    _require_format(psi)
-    psi.require_normalized()
-    return _local_spectra(psi.amplitudes, policy)[0]
-
-
-def r_matrix(psi: StateTensor) -> np.ndarray:
-    """The magic-basis image of the flattened state: a 4xn matrix."""
-    return MAGIC_BASIS @ flatten(psi)
-
-
-def rank_rtr(
-    psi: StateTensor, policy: TolerancePolicy = DEFAULT_POLICY
-) -> RtrResult:
-    """Rank and descending singular values of R^T R.
+def _rank_rtr(f: np.ndarray, policy: TolerancePolicy):
+    """Rank, descending singular values and rank margin of R^T R for the
+    flattened 4xn amplitude matrix ``f`` of a normalized state.
 
     R^T R is computed both from the magic-basis image and directly as the
-    spin-flip bilinear form on the flattened state; the two n x n matrices
-    must agree (up to the sign fixed at import), else the call fails rather
-    than return a silently unstable invariant.
+    spin-flip bilinear form on ``f``; the two n x n matrices must agree (up
+    to the sign fixed at import), else the call fails rather than return a
+    silently unstable invariant.
 
-    The rank threshold is taken relative to the squared state norm, the
-    natural scale of this quadratic invariant (it bounds every singular
+    The rank threshold is taken relative to the squared state norm (1 here),
+    the natural scale of this quadratic invariant (it bounds every singular
     value of R^T R). Thresholding against the matrix's own largest singular
     value would promote pure matmul roundoff to full rank whenever the form
     vanishes identically, as it does on the biseparable classes.
     """
-    norm = psi.norm
-    return _rank_rtr(flatten(psi), norm * norm, policy)[0]
-
-
-def _rank_rtr(f: np.ndarray, norm_sq: float, policy: TolerancePolicy):
-    """``rank_rtr`` on the flattened 4xn amplitude matrix of squared norm
-    ``norm_sq``, with the rank's margin from the same threshold."""
     r = MAGIC_BASIS @ f
     via_magic = r.T @ r
     via_flip = BILINEAR_SIGN * (f.T @ SPIN_FLIP @ f)
-    if np.abs(via_magic - via_flip).max() > 1e-10 * max(1.0, norm_sq):
+    deviation = np.abs(via_magic - via_flip).max()
+    if deviation > 1e-10:
         raise NumericalInstabilityError(
-            "magic-basis and spin-flip routes to R^T R disagree"
+            "magic-basis and spin-flip routes to R^T R disagree: max deviation "
+            f"{deviation:.3g} exceeds the bound 1e-10"
         )
     svals = np.linalg.svd(via_magic, compute_uv=False).tolist()
-    thr = policy.rank_threshold(norm_sq, len(svals))
+    thr = policy.rank_threshold(1.0, len(svals))
     rank = len([x for x in svals if x > thr])
-    return RtrResult(rank, tuple(svals)), _rank_margin(svals, rank, thr)
+    return rank, tuple(svals), _rank_margin(svals, rank, thr)
 
 
 def det222(psi: StateTensor) -> complex:
@@ -396,7 +364,7 @@ def invariant_report(
     if not np.isfinite(amps).all():
         raise FormatError(f"normalizing by {norm:.6g} left non-finite amplitudes")
     ranks, local_margin, u, s = _local_spectra(amps, policy)
-    rtr, rtr_margin = _rank_rtr(amps.reshape(4, -1), 1.0, policy)
+    rank_rtr, svals_rtr, rtr_margin = _rank_rtr(amps.reshape(4, -1), policy)
     margins = {"local_ranks": local_margin, "rank_rtr": rtr_margin}
     # Adjusted states have unit norm, up to the dropped sub-threshold weight.
     r3 = ranks[2]
@@ -413,8 +381,8 @@ def invariant_report(
         margins["det223"] = abs(det223_val) - policy.det_threshold(1.0, 6)
     return InvariantReport(
         local_ranks=ranks,
-        rank_rtr=rtr.rank,
-        singular_values_rtr=rtr.singular_values,
+        rank_rtr=rank_rtr,
+        singular_values_rtr=svals_rtr,
         det222=det222_val,
         det223=det223_val,
         norm=norm,

@@ -524,9 +524,9 @@ def monte_carlo(
 
     Trial t draws everything from the substream (seed, t), so any trial can
     be replayed in isolation with ``monotone_trial(measure, seed, t, party)``
-    and the aggregate is schedule-independent. Trials run through
-    ``monotone_batch`` one block at a time, and only the running summary is
-    kept. A failure is a trial that ``check_monotone`` does not pass:
+    and the aggregate is schedule-independent. Trials run through the
+    engine one block of 64 at a time, and only the running summary is kept.
+    A failure is a trial that ``check_monotone`` does not pass:
     slack < -(1e-9*|before| + 1e-14).
     """
     _measure(measure)
@@ -538,12 +538,12 @@ def monte_carlo(
     failures = 0
     for start in range(0, trials, _BLOCK):
         block = range(start, min(start + _BLOCK, trials))
-        batch = monotone_batch(measure, seed, block, party)
-        i = int(np.argmin(batch.slack))
-        if batch.slack[i] < min_slack:
-            min_slack, min_trial = float(batch.slack[i]), start + i
-            min_before = float(batch.before[i])
-        failures += int(np.count_nonzero(~batch.passed))
+        ev = _run_block(measure, seed, block, party)
+        i = int(np.argmin(ev.slack))
+        if ev.slack[i] < min_slack:
+            min_slack, min_trial = float(ev.slack[i]), start + i
+            min_before = float(ev.before[i])
+        failures += int(np.count_nonzero(~ev.passed))
     return MonteCarloSummary(
         measure=measure,
         trials=trials,

@@ -318,21 +318,6 @@ def apply_local(operation: LocalOperation, psi: StateTensor) -> StateTensor:
     return StateTensor(out.shape, out)
 
 
-def flatten(psi: StateTensor) -> np.ndarray:
-    """The 4xn matrix of a (2, 2, n) state: row index 2*i1 + i2, column i3."""
-    if psi.party_count != 3 or psi.dims[0] != 2 or psi.dims[1] != 2:
-        raise FormatError(f"flatten requires dims (2, 2, n), got {psi.dims}")
-    return psi.amplitudes.reshape(4, psi.dims[2]).copy()
-
-
-def unflatten(matrix) -> StateTensor:
-    """Inverse of ``flatten``: a 4xn matrix back to a (2, 2, n) state."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != 4:
-        raise FormatError(f"unflatten requires a 4xn matrix, got shape {m.shape}")
-    return StateTensor((2, 2, m.shape[1]), m.reshape(2, 2, m.shape[1]))
-
-
 def reduced_density(psi: StateTensor, party: int) -> DensityMatrix:
     """Partial trace over all parties except ``party`` (0-based).
 

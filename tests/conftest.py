@@ -29,7 +29,7 @@ def compress_clare(psi, target) -> ec.StateTensor:
     """Rotate Clare by the right singular vectors of the flattened state, so
     the support sits on her first levels, then cut or zero-pad to ``target``
     levels: F -> F K^T with K = V^T maps F = U diag(s) V^dagger to U diag(s)."""
-    _, _, vh = np.linalg.svd(ec.flatten(psi))
+    _, _, vh = np.linalg.svd(psi.amplitudes.reshape(4, -1))
     clare = np.eye(target, psi.dims[2]) @ vh.conj()
     eye = np.eye(2, dtype=complex)
     return ec.apply_local(ec.LocalOperation((eye, eye, clare)), psi)

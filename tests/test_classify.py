@@ -73,7 +73,7 @@ def test_min_clare_dim_is_the_clare_rank(label):
     # A class needs at least as many Clare levels as Clare's local rank;
     # B1 and B2 have r3 = 2, so neither exists at n = 1.
     psi = ec.representative(label, 4)
-    assert label.min_clare_dim == ec.local_ranks(psi)[2]
+    assert label.min_clare_dim == ec.invariant_report(psi).local_ranks[2]
 
 
 def test_illegal_signature_rejected():

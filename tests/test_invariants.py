@@ -56,13 +56,7 @@ def test_magic_basis_makes_two_qubit_sl_orthogonal(gen):
     [("GHZ", (2, 2, 2)), ("B1", (1, 2, 2)), ("GEN224", (2, 2, 4))],
 )
 def test_local_ranks_examples(label, expected):
-    assert ec.local_ranks(rep(label)) == expected
-
-
-def test_local_ranks_requires_normalization():
-    psi = ec.make_state((2, 2, 2), {(0, 0, 0): 1, (1, 1, 1): 1})
-    with pytest.raises(ec.NormalizationError):
-        ec.local_ranks(psi)
+    assert ec.invariant_report(rep(label)).local_ranks == expected
 
 
 def conditioned_op(dims, cond, gen) -> ec.LocalOperation:
@@ -128,28 +122,7 @@ def test_density_route_disagreement_raises(label, spectrum, band, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# R matrix and rank of R^T R
-
-
-def test_r_matrix_of_identity_flattening_is_magic_basis():
-    psi = ec.make_state(
-        (2, 2, 4), {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 2): 1, (1, 1, 3): 1}
-    )
-    assert np.allclose(ec.r_matrix(psi), ec.MAGIC_BASIS)
-
-
-def test_r_matrix_ghz_columns():
-    psi = rep("GHZ")
-    r = ec.r_matrix(psi)
-    assert np.allclose(r[:, 0], ec.MAGIC_BASIS[:, 0] / SQ2)
-    assert np.allclose(r[:, 1], ec.MAGIC_BASIS[:, 3] / SQ2)
-
-
-def test_r_matrix_preserves_norm(gen):
-    for _ in range(100):
-        n = int(gen.integers(1, 8))
-        psi = ec.random_state((2, 2, n), gen)
-        assert abs(np.linalg.norm(ec.r_matrix(psi)) - 1.0) < 1e-12
+# rank of R^T R
 
 
 @pytest.mark.parametrize(
@@ -157,13 +130,30 @@ def test_r_matrix_preserves_norm(gen):
     [("GEN224", 4), ("C223_GEN", 3), ("C223_DEG", 2), ("GHZ", 2), ("W", 1), ("B3", 1), ("B2", 0), ("B1", 0), ("SEP", 0)],
 )
 def test_rank_rtr_table_column(label, expected):
-    assert ec.rank_rtr(rep(label)).rank == expected
+    assert ec.invariant_report(rep(label)).rank_rtr == expected
 
 
 def test_rank_rtr_singular_values_descending(gen):
     for _ in range(50):
-        res = ec.rank_rtr(ec.random_state((2, 2, 4), gen))
-        assert all(a >= b for a, b in zip(res.singular_values, res.singular_values[1:]))
+        s = ec.invariant_report(ec.random_state((2, 2, 4), gen)).singular_values_rtr
+        assert all(a >= b for a, b in zip(s, s[1:]))
+
+
+def test_rtr_route_disagreement_reports_its_numbers(monkeypatch):
+    # A corrupted magic basis makes the two routes to R^T R differ; the
+    # error names the deviation and the bound it broke.
+    scaled = ec.MAGIC_BASIS * (1 + 1e-6)
+    monkeypatch.setattr(invariants, "MAGIC_BASIS", scaled)
+    psi = rep("GHZ")
+    f = (psi.amplitudes / psi.norm).reshape(4, -1)
+    r = scaled @ f
+    flip = ec.BILINEAR_SIGN * (f.T @ ec.SPIN_FLIP @ f)
+    deviation = np.abs(r.T @ r - flip).max()
+    assert deviation > 1e-10
+    with pytest.raises(NumericalInstabilityError) as err:
+        ec.invariant_report(psi)
+    assert f"max deviation {deviation:.3g}" in str(err.value)
+    assert "bound 1e-10" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +267,7 @@ def test_concurrence_agrees_with_purification_rtr(gen):
         s_conc = np.sort(
             np.linalg.svd(root @ SPIN_FLIP @ root.conj(), compute_uv=False)
         )[::-1]
-        s_rtr = np.sort(ec.rank_rtr(psi).singular_values)[::-1]
+        s_rtr = np.sort(ec.invariant_report(psi).singular_values_rtr)[::-1]
         m = min(4, len(s_rtr))
         padded = np.zeros(4)
         padded[:m] = s_rtr[:m]
@@ -384,6 +374,26 @@ def test_report_norm_records_original():
     report = ec.invariant_report(psi)
     assert report.norm == pytest.approx(SQ2)
     assert report.local_ranks == (2, 2, 2)
+
+
+def test_report_and_classify_require_2x2n_format():
+    # _require_format is the one (2, 2, n) check on the invariant pipeline.
+    psi = ec.make_state((2, 3, 2), {(0, 0, 0): 1})
+    message = r"^expected dims \(2, 2, n\), got \(2, 3, 2\)$"
+    with pytest.raises(FormatError, match=message):
+        ec.invariant_report(psi)
+    with pytest.raises(FormatError, match=message):
+        ec.classify(psi)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS, ids=lambda l: l.name)
+def test_classify_at_the_stated_dressing_bound(label, gen):
+    # README's verified bound: every class keeps its label when each local
+    # factor has condition number 10.
+    psi = rep(label)
+    for _ in range(100):
+        dressed = ec.apply_local(conditioned_op(psi.dims, 10.0, gen), psi)
+        assert ec.classify(dressed)[0] == label
 
 
 def test_report_margins_positive_for_clean_states():

@@ -26,7 +26,7 @@ def test_numerical_rank_outer_product(gen):
 
 def test_numerical_rank_c223_deg_flattening():
     psi = ec.representative("C223_DEG", 3)
-    assert svd_rank(ec.flatten(psi)) == 3
+    assert svd_rank(psi.amplitudes.reshape(4, -1)) == 3
 
 
 def test_numerical_rank_unitary_invariance(gen):

@@ -28,6 +28,10 @@ def test_pre_pipeline_helpers_are_gone():
         "MAX_MATRIX_DIM",
     ):
         assert not hasattr(ec, name), name
+    # invariant_report is the one entry to the invariants.
+    for name in ("local_ranks", "rank_rtr", "RtrResult", "r_matrix", "flatten", "unflatten"):
+        for module in (ec, ec.invariants, ec.tensor):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(ec.RandomSource, "substream")
     assert not hasattr(ec.partial_order(), "nodes")
 

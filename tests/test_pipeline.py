@@ -73,7 +73,7 @@ def reference_invariants(psi):
         svd_rank(np.moveaxis(psi.amplitudes, p, 0).reshape(k, -1), POLICY)
         for p, k in enumerate(psi.dims)
     )
-    f = ec.flatten(psi)
+    f = psi.amplitudes.reshape(4, -1)
     r = MAGIC_BASIS @ f
     svals = np.linalg.svd(r.T @ r, compute_uv=False)
     thr = POLICY.rank_threshold(float(np.linalg.norm(f)) ** 2, f.shape[1])

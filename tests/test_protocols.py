@@ -15,7 +15,7 @@ def test_two_bell_is_generic_representative():
     assert psi.dims == (2, 2, 4)
     assert psi.is_normalized()
     assert ec.classify(psi)[0] == ec.ClassLabel.GEN224
-    assert ec.local_ranks(psi) == (2, 2, 4)
+    assert ec.invariant_report(psi).local_ranks == (2, 2, 4)
 
 
 def test_two_bell_clare_sees_maximal_mixture():

