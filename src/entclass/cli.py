@@ -6,8 +6,9 @@ and protocol demonstrations, and emit deterministic machine-readable
 reports (sorted keys, floats at 17 significant digits, byte-stable for
 identical arguments and seed).
 
-Exit codes: 0 success, 1 usage or input error, 2 numerical ambiguity
-(the classifier's determinant and rank cross-check disagreed).
+Exit codes: 0 success, 1 usage or input error (message on stderr) or a
+failed monotone trial (report on stdout), 2 numerical ambiguity (the
+classifier's determinant and rank cross-check disagreed).
 
 Environment fallbacks (flags win): ENTCLASS_RANK_EPS, ENTCLASS_DET_EPS,
 ENTCLASS_SEED.
@@ -22,6 +23,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from typing import Any, Sequence
@@ -49,6 +51,7 @@ from .numerics import DEFAULT_POLICY, TolerancePolicy
 from .protocols import (
     _DISTILL_BRANCHES,
     ProtocolOutcome,
+    _distill_key,
     distill_from_generic,
     entanglement_swap,
 )
@@ -83,40 +86,46 @@ class _Parser(argparse.ArgumentParser):
 # Deterministic rendering
 
 
-def _format_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError(f"cannot serialize non-finite float {x}")
-    return format(float(x), ".17g")
+_quote = json.encoder.encode_basestring_ascii  # what json.dumps(str) returns
 
 
 def render(value: Any, indent: int = 0) -> str:
     """Canonical JSON text: sorted keys, floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [
-            f'{inner}{json.dumps(str(k))}: {render(value[k], indent + 1)}'
-            for k in sorted(value, key=str)
-        ]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not len(value):
-            return "[]"
-        parts = [f"{inner}{render(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    if isinstance(value, (bool, np.bool_)) or value is None:
-        return json.dumps(bool(value) if value is not None else None)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
-    if isinstance(value, (complex, np.complexfloating)):
-        return render({"re": float(value.real), "im": float(value.imag)}, indent)
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    parts: list[str] = []
+    emit = parts.append
+
+    def walk(value, pad):  # the commonest types are tested first
+        if isinstance(value, str):
+            return emit(_quote(value))
+        if isinstance(value, (float, np.floating)):
+            if not math.isfinite(value):
+                raise ValueError(f"cannot serialize non-finite float {float(value)}")
+            return emit(format(float(value), ".17g"))
+        if isinstance(value, dict):
+            items = [(_quote(str(k)) + ": ", value[k]) for k in sorted(value, key=str)]
+            ends = "{}"
+        elif isinstance(value, (list, tuple)):
+            items, ends = [("", v) for v in value], "[]"
+        elif isinstance(value, (bool, np.bool_)) or value is None:
+            return emit("null" if value is None else "true" if value else "false")
+        elif isinstance(value, (int, np.integer)):
+            return emit(str(int(value)))
+        elif isinstance(value, (complex, np.complexfloating)):
+            return walk({"re": float(value.real), "im": float(value.imag)}, pad)
+        else:
+            raise TypeError(f"cannot serialize {type(value)!r}")
+        if not items:
+            return emit(ends)
+        inner = pad + "  "
+        sep = ends[0] + "\n" + inner
+        for key, item in items:
+            emit(sep + key)
+            walk(item, inner)
+            sep = ",\n" + inner
+        emit("\n" + pad + ends[1])
+
+    walk(value, "  " * indent)
+    return "".join(parts)
 
 
 def _serialize_matrix(m: np.ndarray) -> dict:
@@ -275,7 +284,7 @@ def _build_parser() -> _Parser:
     sub.add_parser("swap", help="entanglement-swapping trace")
 
     p = sub.add_parser("distill", help="distillation trace from the generic class")
-    p.add_argument("--target", choices=list(_DISTILL_BRANCHES), required=True)
+    p.add_argument("--target", type=_distill_key, choices=list(_DISTILL_BRANCHES), required=True)
 
     p = sub.add_parser("rep", help="write a class representative state file")
     p.add_argument("--class", dest="class_label", required=True)

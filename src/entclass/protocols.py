@@ -11,6 +11,7 @@ probabilistic distillation of the GHZ, W, and Bell classes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,21 +30,13 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 #: Bell basis on Clare's two qubits, index c = 2*c1 + c2. Any local-unitary
-#: equivalent convention passes the same checks; the recovery entries below
-#: rotate each branch's Alice-Bob pair back to (|00> + |11>)/sqrt(2).
+#: equivalent convention passes the same checks.
 BELL_VECTORS: tuple[tuple[str, np.ndarray], ...] = (
     ("phi+", np.array([1, 0, 0, 1], dtype=complex) / _SQRT2),
     ("phi-", np.array([1, 0, 0, -1], dtype=complex) / _SQRT2),
     ("psi+", np.array([0, 1, 1, 0], dtype=complex) / _SQRT2),
     ("psi-", np.array([0, 1, -1, 0], dtype=complex) / _SQRT2),
 )
-
-_BELL_RECOVERY: dict[str, tuple[np.ndarray, np.ndarray]] = {
-    "phi+": (_I2, _I2),
-    "phi-": (_Z, _I2),
-    "psi+": (_I2, _X),
-    "psi-": (_Z, _X),
-}
 
 
 @dataclass(frozen=True)
@@ -79,25 +72,8 @@ def _clare_branch(
     raw = apply_local(LocalOperation((_I2, _I2, element)), base)
     post = raw.normalize()
     label, _ = classify(post)
-    if recovery is not None:
-        recovery = LocalOperation(recovery)
+    recovery = None if recovery is None else LocalOperation(recovery)
     return ProtocolOutcome(name, raw.norm**2, post, label, recovery)
-
-
-def _bell_branch(name: str, vector: np.ndarray) -> tuple:
-    """Clare's Bell-measurement branch ``name``: its element and recovery factors."""
-    return name, np.outer(vector, vector.conj()), (*_BELL_RECOVERY[name], _I4)
-
-
-def entanglement_swap() -> list[ProtocolOutcome]:
-    """Clare measures her two qubits in the Bell basis.
-
-    Each of the four branches occurs with probability 1/4 and leaves Alice
-    and Bob in the matching Bell pair (class B3, unit concurrence); the
-    branch recovery rotates that pair to the canonical form.
-    """
-    base = two_bell()
-    return [_clare_branch(base, *_bell_branch(*bell)) for bell in BELL_VECTORS]
 
 
 #: Clare-side maps (4 -> 2 levels) steering the two-Bell state downward.
@@ -107,19 +83,41 @@ _GHZ_ELEMENT = np.array([[1, 0, 0, 0], [0, 0, 0, 1]], dtype=complex)
 _GHZ_COMPLEMENT = np.array([[0, 1, 0, 0], [0, 0, 1, 0]], dtype=complex)
 _W_ELEMENT = np.array([[0, 1, 1, 0], [1, 0, 0, 0]], dtype=complex) / _SQRT2
 
-
-#: The two branches of the GHZ measurement: name, element, recovery factors.
-_GHZ_BRANCHES = (
-    ("ghz-direct", _GHZ_ELEMENT, None),
-    ("ghz-flipped", _GHZ_COMPLEMENT, (_I2, _X, _I2)),
-)
-
-#: The reported branch of each distillation target: name, element, recovery.
-_DISTILL_BRANCHES = {
-    "GHZ": _GHZ_BRANCHES[0],
-    "W": ("w-direct", _W_ELEMENT, None),
-    "BELL_AB": _bell_branch(*BELL_VECTORS[0]),
+#: Every branch of Clare's measurements: name -> (element, recovery factors).
+#: A Bell branch's recovery rotates its Alice-Bob pair back to
+#: (|00> + |11>)/sqrt(2); Bob's bit flip recovers the flipped GHZ copy.
+_BRANCHES: dict[str, tuple] = {
+    **{
+        name: (np.outer(vector, vector.conj()), (alice, bob, _I4))
+        for (name, vector), (alice, bob) in zip(
+            BELL_VECTORS, ((_I2, _I2), (_Z, _I2), (_I2, _X), (_Z, _X))
+        )
+    },
+    "ghz-direct": (_GHZ_ELEMENT, None),
+    "ghz-flipped": (_GHZ_COMPLEMENT, (_I2, _X, _I2)),
+    "w-direct": (_W_ELEMENT, None),
 }
+
+#: The reported branch of each distillation target.
+_DISTILL_BRANCHES = {"GHZ": "ghz-direct", "W": "w-direct", "BELL_AB": "phi+"}
+
+
+@functools.cache
+def _branch(name: str) -> ProtocolOutcome:
+    """Branch ``name`` of the two-Bell state, computed once per process. It
+    depends on no input, and the outcome is frozen with read-only arrays, so
+    every caller shares it."""
+    return _clare_branch(two_bell(), name, *_BRANCHES[name])
+
+
+def entanglement_swap() -> list[ProtocolOutcome]:
+    """Clare measures her two qubits in the Bell basis.
+
+    Each of the four branches occurs with probability 1/4 and leaves Alice
+    and Bob in the matching Bell pair (class B3, unit concurrence); the
+    branch recovery rotates that pair to the canonical form.
+    """
+    return [_branch(name) for name, _ in BELL_VECTORS]
 
 
 def distill_ghz_branches() -> list[ProtocolOutcome]:
@@ -129,8 +127,13 @@ def distill_ghz_branches() -> list[ProtocolOutcome]:
     second on a basis-flipped copy that Bob's bit flip recovers, so the
     two-Bell state creates the GHZ class with probability 1.
     """
-    base = two_bell()
-    return [_clare_branch(base, *branch) for branch in _GHZ_BRANCHES]
+    return [_branch("ghz-direct"), _branch("ghz-flipped")]
+
+
+def _distill_key(target: ClassLabel | str) -> str:
+    """The key of a distillation target in ``_DISTILL_BRANCHES``: case,
+    surrounding space and '-' for '_' do not matter (the CLI parses with it)."""
+    return str(target).strip().upper().replace("-", "_")
 
 
 def distill_from_generic(target: ClassLabel | str) -> ProtocolOutcome:
@@ -139,9 +142,9 @@ def distill_from_generic(target: ClassLabel | str) -> ProtocolOutcome:
     Targets: GHZ (probability 1/2 for the reported branch; the complementary
     branch also lands in the GHZ class, see distill_ghz_branches), W
     (probability 3/8), or BELL_AB (one entanglement-swapping branch,
-    probability 1/4, class B3). Only the reported branch is computed.
+    probability 1/4, class B3).
     """
-    key = str(target).strip().upper().replace("-", "_")
+    key = _distill_key(target)
     if key not in _DISTILL_BRANCHES:
         raise FormatError(f"unknown distillation target {target!r}")
-    return _clare_branch(two_bell(), *_DISTILL_BRANCHES[key])
+    return _branch(_DISTILL_BRANCHES[key])

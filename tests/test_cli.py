@@ -8,6 +8,7 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import entclass as ec
@@ -291,6 +292,21 @@ def test_distill_trace(capsys):
     assert doc["branch"]["probability"] == pytest.approx(3 / 8)
 
 
+def test_distill_target_spellings_match_the_library(capsys):
+    # The CLI parses --target with the library's own normalisation.
+    for spelling, target in (("bell-ab", "BELL_AB"), ("ghz", "GHZ")):
+        code, out, err = invoke(["distill", "--target", spelling], capsys)
+        assert (code, err) == (0, "")
+        _, want, _ = invoke(["distill", "--target", target], capsys)
+        doc, ref = json.loads(out), json.loads(want)
+        assert doc.pop("command") == ["distill", "--target", spelling]
+        ref.pop("command")
+        assert doc == ref and doc["result"]["target"] == target
+    code, out, err = invoke(["distill", "--target", "bell-bc"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("entclass: argument --target: invalid choice: 'BELL_BC'")
+
+
 def test_dim_subcommand(capsys):
     code, out, err = invoke(["dim", "--dims", "2,2,2,2", "--delta", "0"], capsys)
     assert code == 0, err
@@ -320,6 +336,8 @@ def test_monotone_reports_failures_with_exit_one(capsys):
     doc = json.loads(out)
     assert doc["result"]["failures"] > 0
     assert code == 1
+    # Unlike an input error, the report is on stdout and stderr stays empty.
+    assert out.endswith("}\n") and err == ""
     assert doc["result"]["min_slack_seed"] == [11, doc["result"]["min_slack_trial"]]
 
 
@@ -411,6 +429,59 @@ def test_render_17_digit_floats():
     text = render({"x": 1 / 3, "y": math.sqrt(2)})
     assert "0.33333333333333331" in text
     assert "1.4142135623730951" in text
+
+
+def test_render_pins_every_value_type():
+    value = {
+        "empty": {"dict": {}, "list": [], "tuple": ()},
+        "flags": [True, np.bool_(False), None],
+        "ints": [np.int64(-7), 3],
+        "floats": [np.float64(0.1), -2.5e-300, 1e22],
+        "complex": [1 - 0.5j],
+        "text": 'Grüße "q" → \U0001d11e',
+        10: "ten",
+        9: "nine",
+    }
+    body = [
+        '"10": "ten",',
+        '"9": "nine",',
+        '"complex": [',
+        "  {",
+        '    "im": -0.5,',
+        '    "re": 1',
+        "  }",
+        "],",
+        '"empty": {',
+        '  "dict": {},',
+        '  "list": [],',
+        '  "tuple": []',
+        "},",
+        '"flags": [',
+        "  true,",
+        "  false,",
+        "  null",
+        "],",
+        '"floats": [',
+        "  0.10000000000000001,",
+        "  -2.5e-300,",
+        "  1e+22",
+        "],",
+        '"ints": [',
+        "  -7,",
+        "  3",
+        "],",
+        r'"text": "Gr\u00fc\u00dfe \"q\" \u2192 \ud834\udd1e"',
+    ]
+    for indent in (0, 1):
+        pad = "  " * indent
+        want = "{\n" + "".join(f"{pad}  {line}\n" for line in body) + pad + "}"
+        assert render(value, indent) == want
+    assert render({}) == "{}" and render([]) == "[]" and render("é") == r'"\u00e9"'
+    for bad in (math.nan, -math.inf, np.float64(math.inf), [complex(1, math.nan)]):
+        with pytest.raises(ValueError, match="non-finite"):
+            render({"x": bad})
+    with pytest.raises(TypeError, match="ndarray"):
+        render({"x": np.zeros(2)})
 
 
 def test_rep_stdout_pipes_into_classify(capsys, tmp_path, monkeypatch):

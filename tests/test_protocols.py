@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import entclass as ec
+from entclass import protocols
 
 from conftest import rep
 
@@ -111,6 +112,13 @@ def test_distill_unknown_target():
         ec.distill_from_generic("BELL_BC")
 
 
+@pytest.mark.parametrize("spelling", ["bell-ab", " Bell_AB ", ec.ClassLabel.GHZ, "w"])
+def test_distill_target_spellings(spelling):
+    key = protocols._distill_key(spelling)
+    assert key in protocols._DISTILL_BRANCHES
+    assert ec.distill_from_generic(spelling) is ec.distill_from_generic(key)
+
+
 def test_distill_probabilities_match_projected_norms():
     base = ec.two_bell()
     ghz_element = np.array([[1, 0, 0, 0], [0, 0, 0, 1]], dtype=complex)
@@ -138,3 +146,34 @@ def test_all_branches_descend_the_order():
     for o in outcomes:
         assert o.post_class.grade <= ec.ClassLabel.GEN224.grade
         assert ec.reachable(ec.ClassLabel.GEN224, o.post_class)
+
+
+def test_branches_are_computed_once_and_shared_read_only():
+    first, second = ec.entanglement_swap(), ec.entanglement_swap()
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second))
+    first.clear()
+    assert [b.branch for b in ec.entanglement_swap()] == ["phi+", "phi-", "psi+", "psi-"]
+    assert ec.distill_from_generic("BELL_AB") is second[0]
+    assert ec.distill_from_generic("GHZ") is ec.distill_ghz_branches()[0]
+    with pytest.raises(ValueError, match="read-only"):
+        second[0].post_state.amplitudes[0, 0, 0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        second[1].recovery.factors[0][0, 0] = 0
+
+
+@pytest.mark.parametrize("name", sorted(protocols._BRANCHES))
+def test_cached_branch_equals_a_fresh_computation(name):
+    got = protocols._branch(name)
+    want = protocols._clare_branch(ec.two_bell(), name, *protocols._BRANCHES[name])
+    assert got is not want
+    assert (got.branch, got.probability, got.post_class) == (
+        want.branch, want.probability, want.post_class,
+    )
+    assert got.post_state.amplitudes.tobytes() == want.post_state.amplitudes.tobytes()
+    assert (got.recovery is None) == (want.recovery is None)
+    if want.recovery is not None:
+        assert [m.tobytes() for m in got.recovery.factors] == [
+            m.tobytes() for m in want.recovery.factors
+        ]
+        assert got.recovery.invertible == want.recovery.invertible
