@@ -1,7 +1,10 @@
 """Two-outcome measurement construction and the averaged-measure checks."""
 
+import hashlib
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,9 @@ from entclass.monotone import _BLOCK
 from conftest import random_diagonal_pair, rep, uniform_block_state
 
 SQ2I = 1 / math.sqrt(2)
+
+#: sha256 per Monte-Carlo case; see ``monte_carlo_digests``.
+DIGESTS = json.loads(Path(__file__).with_name("monte_carlo_digests.json").read_text())
 
 
 def test_random_pair_completeness(gen):
@@ -379,7 +385,7 @@ def _batch_row(batch, i):
     )
 
 
-@pytest.mark.parametrize("party", [None, 0, 2])
+@pytest.mark.parametrize("party", [None, 0, 1, 2])
 @pytest.mark.parametrize("measure", sorted(ec.MEASURES))
 def test_every_route_computes_a_trial_bit_for_bit(measure, party):
     seed = 31
@@ -400,6 +406,37 @@ def test_every_route_computes_a_trial_bit_for_bit(measure, party):
         row = _batch_row(longest, t)
         assert row == _check_row(ec.monotone_trial(measure, seed, t, party))
         assert row == _check_row(_hand_rolled(measure, seed, t, party))
+
+
+def monte_carlo_digests() -> dict[str, str]:
+    """sha256 of the repr of each ``monte_carlo`` summary and of the bytes
+    of each ``monotone_batch`` array, over both measures, every party
+    choice, one trial, a partial block and more than one block, on three
+    seeds (the last above 2**63)."""
+    digests = {}
+    for measure in sorted(ec.MEASURES):
+        for party in (None, 0, 1, 2):
+            for trials in (1, 12, _BLOCK + 6):
+                for seed in (5, 2024, 2**63 + 7):
+                    key = f"{measure} party={party} trials={trials} seed={seed}"
+                    summary = ec.monte_carlo(measure, trials, seed, party)
+                    digests[f"{key} summary"] = hashlib.sha256(repr(summary).encode()).hexdigest()
+                    batch = ec.monotone_batch(measure, seed, range(trials), party)
+                    h = hashlib.sha256()
+                    for field in ("trial", "before", "slack", "passed", "probabilities", "measure_after"):
+                        array = getattr(batch, field)
+                        h.update(f"{field} {array.dtype} {array.shape}".encode())
+                        h.update(array.tobytes())
+                    digests[f"{key} batch"] = h.hexdigest()
+    return digests
+
+
+def test_monte_carlo_outputs_match_parent_digests():
+    # Engine rewrites keep every summary and batch array bit for bit; a
+    # deliberate change regenerates monte_carlo_digests.json and says so.
+    got = monte_carlo_digests()
+    assert sorted(got) == sorted(DIGESTS)
+    assert [key for key in DIGESTS if got[key] != DIGESTS[key]] == []
 
 
 @pytest.mark.parametrize("measure", sorted(ec.MEASURES))
