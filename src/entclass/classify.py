@@ -16,7 +16,9 @@ lower class. Longer conversions compose edge witnesses.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -139,10 +141,20 @@ def _edge_witnesses() -> dict[tuple[ClassLabel, ClassLabel], LocalOperation]:
 
 @dataclass(frozen=True)
 class PartialOrder:
-    """The conversion DAG on ``tuple(ClassLabel)``: covering edges, witnesses."""
+    """The conversion DAG on ``tuple(ClassLabel)``: covering edges, witnesses.
+
+    ``witnesses`` is read-only: ``partial_order()`` shares one instance.
+    """
 
     edges: tuple[tuple[ClassLabel, ClassLabel], ...]
-    witnesses: dict[tuple[ClassLabel, ClassLabel], LocalOperation]
+    witnesses: Mapping[tuple[ClassLabel, ClassLabel], LocalOperation]
+
+    def __post_init__(self):
+        object.__setattr__(self, "witnesses", MappingProxyType(dict(self.witnesses)))
+
+    def __reduce__(self):
+        # A mapping proxy does not pickle; rebuild the order from a dict.
+        return PartialOrder, (self.edges, dict(self.witnesses))
 
     def successors(self, label: ClassLabel) -> tuple[ClassLabel, ...]:
         return tuple(b for a, b in self.edges if a == label)

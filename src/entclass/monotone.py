@@ -9,10 +9,11 @@ must not exceed the measure before. The white-box report additionally
 evaluates the internal steps of that argument (the reduced inequality in
 the diagonal frame and its arithmetic-geometric-mean majorant).
 
-One engine evaluates the check for a stack of states: per measured party,
-one stacked QR draws the unitaries, one batched matmul builds both POVM
-elements and another applies them, and the measure is evaluated once for
-the stack. Seeded trials run through it in blocks; ``check_monotone``,
+One engine evaluates the check for a stack of states. Per pair dimension
+k (one for det222, at most two for det223), one stacked QR draws the
+unitaries and one batched matmul builds both POVM elements; per measured
+party, one batched matmul applies them; and the measure is evaluated once
+for the stack. Seeded trials run through it in blocks; ``check_monotone``,
 ``apply_povm`` and ``monotone_trial`` are stacks of one, so every route
 computes a trial with the same arithmetic.
 """
@@ -33,6 +34,7 @@ from .numerics import (
     _check_k,
     _draw_state,
     _haar,
+    _normalized,
     _substreams,
 )
 from .tensor import StateTensor
@@ -80,15 +82,24 @@ def _pair_elements(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
     u_mu diag_mu v.
     """
     eye = np.eye(u.shape[-1])
-    unitarity = np.abs(u.conj().swapaxes(-1, -2) @ u - eye).max(axis=(-2, -1))
-    bad = np.flatnonzero((unitarity > 1e-10).any(axis=0))
-    if bad.size:
-        name = ("u1", "u2", "v")[bad[0]]
-        raise FormatError(f"{name} is not unitary within tolerance")
-    if not ((diag >= -1e-12) & (diag <= 1 + 1e-12)).all():
-        raise FormatError("diagonal entries must lie in [0, 1]")
-    if (np.abs(diag[:, 0] ** 2 + diag[:, 1] ** 2 - 1.0) > 1e-10).any():
-        raise FormatError("alpha_i^2 + beta_i^2 must equal 1")
+    unitarity = np.abs(u.conj().swapaxes(-1, -2) @ u - eye)
+    norms = np.abs(diag[:, 0] ** 2 + diag[:, 1] ** 2 - 1.0)
+    # One test of every residual; a failure or a NaN takes the per-factor
+    # route that picks the message, before non-finite input is multiplied.
+    if not (
+        unitarity.max() <= 1e-10
+        and -1e-12 <= diag.min()
+        and diag.max() <= 1 + 1e-12
+        and norms.max() <= 1e-10
+    ):
+        bad = np.flatnonzero((unitarity.max(axis=(-2, -1)) > 1e-10).any(axis=0))
+        if bad.size:
+            name = ("u1", "u2", "v")[bad[0]]
+            raise FormatError(f"{name} is not unitary within tolerance")
+        if not ((diag >= -1e-12) & (diag <= 1 + 1e-12)).all():
+            raise FormatError("diagonal entries must lie in [0, 1]")
+        if (norms > 1e-10).any():
+            raise FormatError("alpha_i^2 + beta_i^2 must equal 1")
     elements = u[:, :2] @ (diag[..., None] * u[:, 2:])
     gram = elements.conj().swapaxes(-1, -2) @ elements
     if (np.abs(gram[:, 0] + gram[:, 1] - eye).max(axis=(-2, -1)) > 1e-10).any():
@@ -222,7 +233,10 @@ def _draw_pair(gen: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray
     """One pair's draws: k uniform diagonals, redrawn while degenerate, then
     the 6k^2 normals of u1, u2 and v (see ``numerics._haar``)."""
     alphas = gen.uniform(0.0, 1.0, size=k)
-    while _degenerate(alphas.tolist()):
+    # A degenerate draw has alphas[0] within _DEGENERATE_EPS of 0 or of 1.
+    while not (
+        _DEGENERATE_EPS <= alphas[0] <= 1.0 - _DEGENERATE_EPS
+    ) and _degenerate(alphas.tolist()):
         alphas = gen.uniform(0.0, 1.0, size=k)
     return alphas, gen.standard_normal(6 * k * k)
 
@@ -273,10 +287,11 @@ def equality_case_povm(k: int, alpha: float, party: int = 0) -> PovmPair:
 def _apply(psi: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Measure every state of the (B, *dims) stack ``psi``.
 
-    ``groups`` holds (party, rows, elements): the rows of ``psi`` measured
-    on ``party`` and their (len(rows), 2, k, k) elements. Returns the
-    outcome probabilities (B, 2), the probability-zero branches (B, 2) and
-    the outcome states (B, 2, *dims), normalized except on those branches.
+    ``groups`` holds (parties, rows, elements) per pair dimension k: the
+    rows of ``psi`` measured by pairs of side k, the party each of them
+    measures and their (len(rows), 2, k, k) elements. Returns the outcome
+    probabilities (B, 2), the probability-zero branches (B, 2) and the
+    outcome states (B, 2, *dims), normalized except on those branches.
     """
     count, dims = len(psi), psi.shape[1:]
     if not np.isfinite(psi).all():
@@ -289,16 +304,26 @@ def _apply(psi: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             f"state has squared norm {norm_sq[off[0]]:.6g}, expected 1"
         )
     raw = np.empty((count, 2) + dims, dtype=complex)
-    for party, rows, elements in groups:
-        if not 0 <= party < len(dims):
-            raise FormatError(f"party {party} out of range")
+    for parties, rows, elements in groups:
         k = elements.shape[-1]
-        if k != dims[party]:
-            raise FormatError(f"pair acts on dimension {k}, party has {dims[party]}")
-        moved = np.moveaxis(psi[rows], party + 1, 1)
-        out = elements @ moved.reshape(len(moved), 1, k, -1)
-        out = out.reshape(out.shape[:3] + moved.shape[2:])
-        raw[rows] = np.moveaxis(out, 2, party + 2)
+        for party in sorted(set(parties.tolist())):
+            if not 0 <= party < len(dims):
+                raise FormatError(f"party {party} out of range")
+            if k != dims[party]:
+                raise FormatError(f"pair acts on dimension {k}, party has {dims[party]}")
+            mine = parties == party
+            if len(rows) == count and mine.all():
+                # One party measuring the whole stack needs no gather/scatter.
+                at = mine = slice(None)
+            else:
+                at = rows[mine]
+            others = [axis for axis in range(1, len(dims) + 1) if axis != party + 1]
+            moved = psi[at].transpose(0, party + 1, *others)
+            out = elements[mine] @ moved.reshape(len(moved), 1, k, -1)
+            # Axis 2 of out is the measured party; put it back in its place.
+            back = list(range(3, len(dims) + 2))
+            back.insert(party, 2)
+            raw[at] = out.reshape(out.shape[:3] + moved.shape[2:]).transpose(0, 1, *back)
     probabilities = (raw.real**2 + raw.imag**2).reshape(count, 2, -1).sum(axis=2)
     total = probabilities[:, 0] + probabilities[:, 1]
     off = np.flatnonzero(np.abs(total - 1.0) > 1e-10)
@@ -370,7 +395,7 @@ def _check(ev: _Evaluated, row: int) -> MonotoneCheck:
 
 def apply_povm(psi: StateTensor, pair: PovmPair) -> tuple[Outcome, Outcome]:
     """Measure: outcome states element(mu) psi / sqrt(p_mu), p_mu its weight."""
-    groups = [(pair.party, [0], pair._elements[None])]
+    groups = [(np.array([pair.party]), np.array([0]), pair._elements[None])]
     probabilities, null, states = _apply(psi.amplitudes[None], groups)
     return _outcomes(probabilities, null, states, 0)
 
@@ -384,7 +409,7 @@ def check_monotone(psi: StateTensor, pair: PovmPair, measure: str) -> MonotoneCh
     measure vanishes identically.
     """
     _measure(measure, psi)
-    groups = [(pair.party, [0], pair._elements[None])]
+    groups = [(np.array([pair.party]), np.array([0]), pair._elements[None])]
     return _check(_evaluate(measure, psi.amplitudes[None], groups), 0)
 
 
@@ -461,22 +486,23 @@ def _run_block(measure: str, seed: int, trials, party: int | None) -> _Evaluated
     RandomSource(seed, min(trials))
     RandomSource(seed, max(trials))
     size = math.prod(dims)
-    psi = np.empty((len(trials), size), dtype=complex)
-    drawn = {p: [] for p in range(3)}
+    normals = np.empty((len(trials), 2 * size))
+    sq = np.empty(len(trials))
+    drawn = {k: [] for k in sorted(set(dims))}
     for row, gen in enumerate(_substreams(seed, trials)):
-        psi[row] = _draw_state(gen, size)
+        normals[row], sq[row] = _draw_state(gen, size)
         p = int(gen.integers(0, 3)) if party is None else party
-        drawn[p].append((row, *_draw_pair(gen, dims[p])))
+        drawn[dims[p]].append((row, p, *_draw_pair(gen, dims[p])))
     groups = []
-    for p, draws in drawn.items():
+    for k, draws in drawn.items():
         if draws:
-            rows, alphas, normals = zip(*draws)
-            k = dims[p]
+            rows, parties, alphas, pair_normals = zip(*draws)
             alphas = np.array(alphas)
             diag = np.stack([alphas, np.sqrt(1.0 - alphas**2)], axis=1)
-            u = _haar(np.array(normals).reshape(-1, 3, 2, k, k))
-            groups.append((p, list(rows), _pair_elements(u, diag)))
-    return _evaluate(measure, psi.reshape((len(trials),) + dims), groups)
+            u = _haar(np.array(pair_normals).reshape(-1, 3, 2, k, k))
+            groups.append((np.array(parties), np.array(rows), _pair_elements(u, diag)))
+    psi = _normalized(normals, sq).reshape((len(trials),) + dims)
+    return _evaluate(measure, psi, groups)
 
 
 def monotone_trial(

@@ -69,7 +69,10 @@ class RandomSource:
     def __post_init__(self):
         for name in ("seed", "stream"):
             value = getattr(self, name)
-            if not (0 <= int(value) < 2**64):
+            # A float or bool would key the stream of the integer it rounds to.
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not 0 <= int(value) < 2**64:
                 raise ValueError(f"{name} must be a 64-bit unsigned integer")
 
     def generator(self) -> np.random.Generator:
@@ -143,15 +146,23 @@ def random_unitary(k: int, rng: RandomSource | np.random.Generator) -> np.ndarra
     return _haar(_as_generator(rng).standard_normal((2, k, k)))
 
 
-def _draw_state(gen: np.random.Generator, size: int) -> np.ndarray:
+def _draw_state(gen: np.random.Generator, size: int) -> tuple[np.ndarray, float]:
     """One state's draw: 2*size standard normals (real parts, then imaginary
-    parts), redrawn while their norm is below 1e-150, then normalized."""
+    parts), redrawn while their norm is below 1e-150, and their squared norm.
+    ``_normalized`` turns draws and squared norms into states."""
     while True:
         x = gen.standard_normal(2 * size)
         sq = float(x @ x)
         if sq > 1e-300:
-            x /= math.sqrt(sq)
-            return x[:size] + 1j * x[size:]
+            return x, sq
+
+
+def _normalized(x: np.ndarray, sq) -> np.ndarray:
+    """The states of (..., 2*size) ``_draw_state`` draws with squared norms
+    (...); a stack gives each state the bits of its own draw."""
+    x = x / np.sqrt(sq)[..., None]
+    size = x.shape[-1] // 2
+    return x[..., :size] + 1j * x[..., size:]
 
 
 def random_state(
@@ -163,4 +174,5 @@ def random_state(
     for their format.
     """
     dims = tuple(int(k) for k in dims)
-    return StateTensor(dims, _draw_state(_as_generator(rng), math.prod(dims)))
+    x, sq = _draw_state(_as_generator(rng), math.prod(dims))
+    return StateTensor(dims, _normalized(x, sq))

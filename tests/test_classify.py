@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import entclass as ec
-from entclass import labels
+from entclass import cli, labels
 from entclass.classify import _cross_check, _rank_vote, partial_order
 from entclass.errors import AmbiguityError, SignatureError
 
@@ -160,6 +160,26 @@ def test_every_edge_witness_lands_in_target():
         assert not witness.all_invertible
         out = ec.apply_local(witness, rep(a))
         assert ec.classify(out)[0] == b
+
+
+def test_shared_witnesses_are_read_only(capsys):
+    order = partial_order()
+    edge = (ec.ClassLabel.GHZ, ec.ClassLabel.B3)
+    with pytest.raises(TypeError):
+        order.witnesses[edge] = None
+    with pytest.raises(AttributeError):
+        order.witnesses.clear()
+    assert len(order.witnesses) == len(order.edges)
+    # Once a caller could empty the shared dict and break every later query.
+    assert cli.run(["order", "--from", "224-generic", "--to", "B3"]) == 0
+    assert '"reachable": true' in capsys.readouterr().out
+    copy = pickle.loads(pickle.dumps(order))
+    assert copy.edges == order.edges
+    assert all(
+        np.array_equal(m, n)
+        for e in order.edges
+        for m, n in zip(copy.witnesses[e].factors, order.witnesses[e].factors)
+    )
 
 
 def test_edges_respect_rank_dominance():

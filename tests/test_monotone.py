@@ -40,6 +40,53 @@ def test_degenerate_alpha_vector_rejected_by_constructor():
         ec.PovmPair(0, np.eye(2), np.eye(2), np.eye(2), (1.0, 1.0), (0.5, 0.5))
 
 
+#: Off by 0.9e-10 in the square: within the unitarity tolerance, yet two
+#: such errors in u1^H u1 and alpha^2 + beta^2 add up beyond it.
+_NEAR = math.sqrt(1 + 0.9e-10)
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"u1": np.diag([1.0, 2.0])}, "u1 is not unitary within tolerance"),
+        ({"u2": [[1, 1], [0, 1]]}, "u2 is not unitary within tolerance"),
+        ({"v": 1.1 * np.eye(2)}, "v is not unitary within tolerance"),
+        # The first failing check names the rejection.
+        ({"v": 2 * np.eye(2), "alphas": (1.5, 0.6)}, "v is not unitary within tolerance"),
+        ({"alphas": (-0.6, 0.6)}, "diagonal entries must lie in [0, 1]"),
+        ({"alphas": (1.2, 0.6), "betas": (0.0, 0.8)}, "diagonal entries must lie in [0, 1]"),
+        ({"betas": (0.6, 0.8)}, "alpha_i^2 + beta_i^2 must equal 1"),
+        (
+            {"u1": _NEAR * np.eye(2), "u2": _NEAR * np.eye(2), "alphas": (SQ2I * _NEAR,) * 2,
+             "betas": (SQ2I * _NEAR,) * 2},
+            "POVM elements do not sum to the identity",
+        ),
+    ],
+)
+def test_povm_pair_names_what_it_rejects(fields, message):
+    pair = {"party": 0, "u1": np.eye(2), "u2": np.eye(2), "v": np.eye(2),
+            "alphas": (0.6, 0.6), "betas": (0.8, 0.8)}
+    with pytest.raises(FormatError) as info:
+        ec.PovmPair(**{**pair, **fields})
+    assert str(info.value) == message
+
+
+def test_stacked_pairs_name_the_first_bad_factor():
+    from entclass.monotone import _pair_elements
+
+    u = np.tile(np.eye(3, dtype=complex), (4, 3, 1, 1))
+    diag = np.full((4, 2, 3), SQ2I)
+    u[1, 2] *= 2  # v of pair 1
+    u[3, 1] *= 2  # u2 of pair 3
+    with pytest.raises(FormatError, match="^u2 is not unitary"):
+        _pair_elements(u, diag)
+    u[3, 1] /= 2
+    with pytest.raises(FormatError, match="^v is not unitary"):
+        _pair_elements(u, diag)
+    u[1, 2] /= 2
+    assert np.array_equal(_pair_elements(u, diag), np.broadcast_to(SQ2I * np.eye(3), (4, 2, 3, 3)))
+
+
 def test_degenerate_draws_resampled():
     from entclass.monotone import _degenerate
 

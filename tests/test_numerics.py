@@ -1,5 +1,7 @@
 """Tolerance policy, rank decisions, random samplers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,21 @@ def test_random_state_reproducible():
 def test_random_source_substream():
     with pytest.raises(ValueError):
         ec.RandomSource(-1)
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, np.float64(2.0), True, False, "3"])
+def test_random_source_rejects_non_integral_keys(value):
+    # Each of these was keyed as the integer it rounds to.
+    for args in ((value,), (0, value)):
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {value!r}")):
+            ec.RandomSource(*args)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        ec.monte_carlo("det222", 12, value)
+    with pytest.raises(ValueError, match="stream must be an integer"):
+        ec.monotone_trial("det222", 1, value)
+    assert ec.RandomSource(np.uint64(3), np.int32(2)).generator().integers(9) == (
+        ec.RandomSource(3, 2).generator().integers(9)
+    )
 
 
 def test_random_state_bipartite_schmidt_rank(gen):
