@@ -104,6 +104,8 @@ def test_random_state_reproducible():
 def test_random_source_substream():
     with pytest.raises(ValueError):
         ec.RandomSource(-1)
+    numpy_ints = ec.RandomSource(np.uint64(3), np.int32(2)).generator()
+    assert numpy_ints.integers(2**62) == ec.RandomSource(3, 2).generator().integers(2**62)
 
 
 @pytest.mark.parametrize("value", [1.5, 1.0, np.float64(2.0), True, False, "3"])
@@ -116,9 +118,6 @@ def test_random_source_rejects_non_integral_keys(value):
         ec.monte_carlo("det222", 12, value)
     with pytest.raises(ValueError, match="stream must be an integer"):
         ec.monotone_trial("det222", 1, value)
-    assert ec.RandomSource(np.uint64(3), np.int32(2)).generator().integers(9) == (
-        ec.RandomSource(3, 2).generator().integers(9)
-    )
 
 
 def test_random_state_bipartite_schmidt_rank(gen):
