@@ -110,7 +110,7 @@ def test_random_source_substream():
 
 @pytest.mark.parametrize("value", [1.5, 1.0, np.float64(2.0), True, False, "3"])
 def test_random_source_rejects_non_integral_keys(value):
-    # Each of these was keyed as the integer it rounds to.
+    # Each of these used to key the stream of the integer int() makes of it.
     for args in ((value,), (0, value)):
         with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {value!r}")):
             ec.RandomSource(*args)
