@@ -1,6 +1,10 @@
 """Decision procedure, cross-checks, and the conversion partial order."""
 
+import importlib
+import itertools
+import json
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +103,58 @@ def test_rank_vote_lookup():
     for signature in ((1, 1, 1), (2, 2, 1), (2, 2, 4)):
         for rank in range(5):
             assert _rank_vote(signature, rank) is None
+
+
+#: What ``classify`` does on each synthetic report; see ``decision_rule_table``.
+DECISION_RULE = json.loads(Path(__file__).with_name("decision_rule_table.json").read_text())
+
+
+def decision_rule_table(monkeypatch) -> dict[str, str]:
+    """What ``classify`` returns or raises for each synthetic report.
+
+    Every signature in {1,2} x {1,2} x {1,...,4}, plus a few no 2x2xn state
+    has, crossed with rank(R^T R) in 0..4 and determinant margins of +1e-3,
+    0.0 and -1e-3. A report carries the margins ``invariant_report`` would:
+    det222 (with det223 of the opposite sign) when r3 <= 2, det223 when
+    r3 = 3, so reading the wrong one changes the row.
+    """
+    signatures = list(itertools.product((1, 2), (1, 2), (1, 2, 3, 4)))
+    signatures += [(0, 0, 0), (2, 2, 0), (2, 2, 5), (3, 2, 2)]
+    # ``entclass.classify`` is the function; the module is imported by name.
+    module = importlib.import_module("entclass.classify")
+    table = {}
+    for signature, rank_rtr, det in itertools.product(
+        signatures, range(5), (1e-3, 0.0, -1e-3)
+    ):
+        margins = {"local_ranks": 0.5, "rank_rtr": 0.5}
+        if signature[2] <= 2:
+            margins.update(det222=det, det223=-det)
+        elif signature[2] == 3:
+            margins["det223"] = det
+        report = ec.InvariantReport(
+            signature, rank_rtr, (), None, None, 1.0, ec.DEFAULT_POLICY, margins
+        )
+        monkeypatch.setattr(module, "invariant_report", lambda psi, policy: report)
+        try:
+            label, got = ec.classify(rep("GHZ"))
+            assert got is report
+            outcome = f"label {label.name}"
+        except AmbiguityError as err:
+            votes = (err.signature, err.det_vote, err.rank_vote, err.rank_rtr)
+            outcome = f"AmbiguityError {votes!r}: {err}"
+        except SignatureError as err:
+            outcome = f"SignatureError {err.signature!r}: {err}"
+        table[f"{signature} rank_rtr={rank_rtr} det={det:+g}"] = outcome
+    return table
+
+
+def test_decision_rule_matches_parent_table(monkeypatch):
+    # Every label and every error of the decision tree, pinned before the
+    # rule is rewritten; a deliberate change regenerates the table and
+    # says so.
+    got = decision_rule_table(monkeypatch)
+    assert sorted(got) == sorted(DECISION_RULE)
+    assert {k: v for k, v in got.items() if DECISION_RULE[k] != v} == {}
 
 
 def test_grades():
