@@ -1,11 +1,11 @@
 """The nine-class decision procedure and the conversion partial order.
 
-Classification is a decision tree: local ranks split the easy cases, and
-the two rank-degenerate signatures are resolved by a hyperdeterminant test
-with the rank of R^T R as an independent cross-check. The determinant test
-is primary (polynomial evaluation is better conditioned near boundaries
-than rank thresholding); a disagreement between the two raises, carrying
-both votes, rather than silently picking a side.
+Classification is a decision tree: local ranks pin seven classes, and the
+``_DET_DECIDED`` table splits each of the two rank-degenerate signatures by
+one hyperdeterminant margin. rank(R^T R) is an independent cross-check: the
+determinant test is primary (polynomial evaluation is better conditioned
+near boundaries than rank thresholding), and a disagreement between the two
+raises, carrying both votes, rather than silently picking a side.
 
 The partial order of classes under noninvertible local maps is shipped as
 an explicit edge list with one executable witness per edge: a concrete
@@ -36,27 +36,17 @@ EXPECTED_RANK_RTR = {
     ClassLabel.C223_DEG: 2,
 }
 
+#: Each signature the ranks leave open: the determinant margin that splits
+#: it, the class when that margin is positive and the class when it is not.
+_DET_DECIDED = {
+    (2, 2, 2): ("det222", ClassLabel.GHZ, ClassLabel.W),
+    (2, 2, 3): ("det223", ClassLabel.C223_GEN, ClassLabel.C223_DEG),
+}
+
 #: Signatures that pin the class by ranks alone.
 _RANK_ONLY = {
     label.rank_signature: label for label in ClassLabel if label not in EXPECTED_RANK_RTR
 }
-
-
-def _rank_vote(signature: tuple[int, int, int], rank_rtr: int) -> ClassLabel | None:
-    """The class the R^T R rank alone would assign within a signature."""
-    for label, rank in EXPECTED_RANK_RTR.items():
-        if label.rank_signature == signature and rank == rank_rtr:
-            return label
-    return None
-
-
-def _cross_check(
-    signature: tuple[int, int, int], det_vote: ClassLabel, rank_rtr: int
-) -> None:
-    if rank_rtr != EXPECTED_RANK_RTR[det_vote]:
-        raise AmbiguityError(
-            signature, det_vote, _rank_vote(signature, rank_rtr), rank_rtr
-        )
 
 
 def classify(
@@ -72,17 +62,14 @@ def classify(
     signature = report.local_ranks
     if signature in _RANK_ONLY:
         return _RANK_ONLY[signature], report
-    if signature == (2, 2, 2):
-        label = ClassLabel.GHZ if report.margins["det222"] > 0 else ClassLabel.W
-    elif signature == (2, 2, 3):
-        label = (
-            ClassLabel.C223_GEN
-            if report.margins["det223"] > 0
-            else ClassLabel.C223_DEG
-        )
-    else:
+    if signature not in _DET_DECIDED:
         raise SignatureError(signature)
-    _cross_check(signature, label, report.rank_rtr)
+    key, generic, degenerate = _DET_DECIDED[signature]
+    label = generic if report.margins[key] > 0 else degenerate
+    if report.rank_rtr != EXPECTED_RANK_RTR[label]:
+        # The rank's own vote: the class of this signature it would give.
+        votes = (c for c in (generic, degenerate) if EXPECTED_RANK_RTR[c] == report.rank_rtr)
+        raise AmbiguityError(signature, label, next(votes, None), report.rank_rtr)
     return label, report
 
 

@@ -8,9 +8,8 @@ parameters of a format.
 
 The hyperdeterminants are evaluated literally, term by term, so the code
 can be audited against the defining polynomials; there is no clever
-factorization. Zero tests use the shared tolerance policy scaled by the
-state norm raised to the invariant's homogeneity degree, which makes every
-decision scale-free.
+factorization. Every zero test is taken on the normalized state against
+the shared tolerance policy, which makes every decision scale-free.
 """
 
 from __future__ import annotations
@@ -156,6 +155,14 @@ def _qubit_spectrum(gram) -> tuple[float, float]:
     return (p * q - b * b) / top, top
 
 
+def _rank(svals, threshold: float) -> tuple[int, float]:
+    """The count of descending ``svals`` above ``threshold``, and its margin:
+    the smaller gap to the smallest kept and to the largest dropped value."""
+    rank = len([x for x in svals if x > threshold])
+    kept = svals[rank - 1] - threshold if rank else math.inf
+    return rank, min(kept, threshold - svals[rank]) if rank < len(svals) else kept
+
+
 def _local_spectra(amps: np.ndarray, policy: TolerancePolicy):
     """Local ranks of a normalized (2, 2, n) amplitude array, their smallest
     margin, and the reduced SVD (u, s) of the flattened state (the transpose
@@ -179,7 +186,7 @@ def _local_spectra(amps: np.ndarray, policy: TolerancePolicy):
     for party, (svals, eigs) in enumerate(zip(singular, density)):
         k = len(eigs)  # the unfolding is k x (4n / k)
         thr = policy.rank_threshold(svals[0], max(k, f.size // k))
-        rank = len([x for x in svals if x > thr])
+        rank, rank_margin = _rank(svals, thr)
         thr_sq, delta = thr * thr, 8 * k * _EPS * eigs[-1]
         low = len([e for e in eigs if e > thr_sq + delta])
         high = len([e for e in eigs if e > thr_sq - delta])
@@ -189,7 +196,7 @@ def _local_spectra(amps: np.ndarray, policy: TolerancePolicy):
                 f"[{low}, {high}] (threshold {thr_sq:.3g} +- {delta:.3g})"
             )
         ranks.append(rank)
-        margin = min(margin, _rank_margin(svals, rank, thr))
+        margin = min(margin, rank_margin)
     return tuple(ranks), margin, u, s
 
 
@@ -218,9 +225,8 @@ def _rank_rtr(f: np.ndarray, policy: TolerancePolicy):
             f"{deviation:.3g} exceeds the bound 1e-10"
         )
     svals = np.linalg.svd(via_magic, compute_uv=False).tolist()
-    thr = policy.rank_threshold(1.0, len(svals))
-    rank = len([x for x in svals if x > thr])
-    return rank, tuple(svals), _rank_margin(svals, rank, thr)
+    rank, margin = _rank(svals, policy.rank_threshold(1.0, len(svals)))
+    return rank, tuple(svals), margin
 
 
 def det222(psi: StateTensor) -> complex:
@@ -341,13 +347,6 @@ def nonlocal_dimension(dims, delta: int) -> DimensionCount:
     return DimensionCount(dims, delta)
 
 
-def _rank_margin(svals, rank: int, threshold: float) -> float:
-    """Distance of a rank decision from its threshold: the smaller gap to the
-    smallest kept and to the largest dropped of the descending ``svals``."""
-    kept = svals[rank - 1] - threshold if rank else math.inf
-    return min(kept, threshold - svals[rank]) if rank < len(svals) else kept
-
-
 def invariant_report(
     psi: StateTensor, policy: TolerancePolicy = DEFAULT_POLICY
 ) -> InvariantReport:
@@ -373,12 +372,12 @@ def invariant_report(
         adjusted = np.zeros((4, 2), dtype=complex)
         adjusted[:, :r3] = u[:, :r3] * s[:r3]
         det222_val = _det222(adjusted.reshape(8).tolist())
-        margins["det222"] = abs(det222_val) - policy.det_threshold(1.0, 4)
+        margins["det222"] = abs(det222_val) - policy.det_rel_eps
     if r3 <= 3:
         det223_val = 0j
         if r3 == 3:
             det223_val = complex(_det223((u[:, :3] * s[:3]).reshape(2, 2, 3)))
-        margins["det223"] = abs(det223_val) - policy.det_threshold(1.0, 6)
+        margins["det223"] = abs(det223_val) - policy.det_rel_eps
     return InvariantReport(
         local_ranks=ranks,
         rank_rtr=rank_rtr,

@@ -31,6 +31,7 @@ from .invariants import _det222, _det223, det222, det223
 from .numerics import (
     RandomSource,
     _as_generator,
+    _check_int,
     _check_k,
     _draw_state,
     _haar,
@@ -124,6 +125,7 @@ class PovmPair:
     betas: tuple[float, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "party", _check_int("party", self.party))
         alphas = tuple(float(a) for a in self.alphas)
         betas = tuple(float(b) for b in self.betas)
         k = len(alphas)
@@ -253,7 +255,7 @@ def random_povm_pair(
     alphas, normals = _draw_pair(_as_generator(rng), k)
     u1, u2, v = _haar(normals.reshape(3, 2, k, k))
     return PovmPair(
-        party=int(party),
+        party=party,
         u1=u1,
         u2=u2,
         v=v,
@@ -275,7 +277,7 @@ def equality_case_povm(k: int, alpha: float, party: int = 0) -> PovmPair:
     beta = math.sqrt(1.0 - alpha * alpha)
     eye = np.eye(k, dtype=complex)
     return PovmPair(
-        party=int(party),
+        party=party,
         u1=eye,
         u2=eye,
         v=eye,
@@ -480,11 +482,8 @@ def _run_block(measure: str, seed: int, trials, party: int | None) -> _Evaluated
     None), then the pair's diagonals and unitaries.
     """
     _, dims, _ = _measure(measure)
-    if party is not None and not 0 <= party < 3:
+    if party is not None and not 0 <= _check_int("party", party) < 3:
         raise ValueError(f"party must be 0, 1, or 2, got {party}")
-    # Raises ValueError unless the seed and every trial index fit in 64 bits.
-    RandomSource(seed, min(trials))
-    RandomSource(seed, max(trials))
     size = math.prod(dims)
     normals = np.empty((len(trials), 2 * size))
     sq = np.empty(len(trials))
@@ -528,7 +527,7 @@ def monotone_batch(
     trials[i], party)``. The engine works on blocks of 64 trials, so its
     working memory does not grow with the number of trials.
     """
-    trials = [int(t) for t in trials]
+    trials = list(trials)
     if not trials:
         raise ValueError("trials must not be empty")
     parts = [
@@ -556,7 +555,7 @@ def monte_carlo(
     slack < -(1e-9*|before| + 1e-14).
     """
     _measure(measure)
-    if trials < 1:
+    if _check_int("trials", trials) < 1:
         raise ValueError("trials must be positive")
     min_slack = math.inf
     min_trial = -1

@@ -16,6 +16,7 @@ embarrassingly parallel.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +31,8 @@ class TolerancePolicy:
 
     rank_rel_eps: singular values below rank_rel_eps * s_max * max_dim count
         as zero when ranks are taken.
-    det_rel_eps: a determinant-type invariant of homogeneity degree d counts
-        as zero below det_rel_eps * norm(psi)**d, which makes the test
-        scale-free.
+    det_rel_eps: a determinant-type invariant of the normalized state counts
+        as zero below det_rel_eps, which makes the test scale-free.
     """
 
     rank_rel_eps: float = 1e-9
@@ -47,11 +47,22 @@ class TolerancePolicy:
     def rank_threshold(self, s_max: float, max_dim: int) -> float:
         return self.rank_rel_eps * s_max * max_dim
 
-    def det_threshold(self, norm: float, degree: int) -> float:
-        return self.det_rel_eps * norm**degree
-
 
 DEFAULT_POLICY = TolerancePolicy()
+
+
+def _check_int(name: str, value) -> int:
+    """``value`` as an int, or ValueError naming it. A float, bool or string
+    would otherwise act as the integer that int() makes of it."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _check_key(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer in [0, 2**64)."""
+    if not 0 <= _check_int(name, value) < 2**64:
+        raise ValueError(f"{name} must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)
@@ -68,12 +79,7 @@ class RandomSource:
 
     def __post_init__(self):
         for name in ("seed", "stream"):
-            value = getattr(self, name)
-            # A float or bool would key the stream of the integer it rounds to.
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if not 0 <= int(value) < 2**64:
-                raise ValueError(f"{name} must be a 64-bit unsigned integer")
+            _check_key(name, getattr(self, name))
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream], dtype=np.uint64)
@@ -118,15 +124,15 @@ def _substreams(seed: int, streams):
 
     It yields the draws of ``RandomSource(seed, s).generator()``; resetting
     the key of one Philox is cheaper than building a generator per stream.
+    The seed and each stream are checked as ``RandomSource`` checks them.
     """
-    key = np.array([seed, 0], dtype=np.uint64)
-    bit_generator = np.random.Philox(key=key)
-    state = bit_generator.state
-    state["state"]["key"] = key
-    gen = np.random.Generator(bit_generator)
+    gen = RandomSource(seed).generator()
+    state = gen.bit_generator.state
+    key = state["state"]["key"]
     for stream in streams:
+        _check_key("stream", stream)
         key[1] = stream
-        bit_generator.state = state
+        gen.bit_generator.state = state
         yield gen
 
 

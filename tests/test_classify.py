@@ -11,7 +11,7 @@ import pytest
 
 import entclass as ec
 from entclass import cli, labels
-from entclass.classify import _cross_check, _rank_vote, partial_order
+from entclass.classify import partial_order
 from entclass.errors import AmbiguityError, SignatureError
 
 from conftest import (
@@ -83,26 +83,6 @@ def test_min_clare_dim_is_the_clare_rank(label):
 def test_illegal_signature_rejected():
     with pytest.raises(SignatureError, match=r"1, 2, 1"):
         raise SignatureError((1, 2, 1))
-
-
-def test_cross_check_raises_ambiguity():
-    with pytest.raises(AmbiguityError) as err:
-        _cross_check((2, 2, 2), ec.ClassLabel.GHZ, 1)
-    assert err.value.det_vote == ec.ClassLabel.GHZ
-    assert err.value.rank_vote == ec.ClassLabel.W
-    with pytest.raises(AmbiguityError):
-        _cross_check((2, 2, 3), ec.ClassLabel.C223_DEG, 3)
-
-
-def test_rank_vote_lookup():
-    assert _rank_vote((2, 2, 2), 2) == ec.ClassLabel.GHZ
-    assert _rank_vote((2, 2, 3), 2) == ec.ClassLabel.C223_DEG
-    assert _rank_vote((2, 2, 2), 0) is None
-    for label, rank in ec.EXPECTED_RANK_RTR.items():
-        assert _rank_vote(label.rank_signature, rank) == label
-    for signature in ((1, 1, 1), (2, 2, 1), (2, 2, 4)):
-        for rank in range(5):
-            assert _rank_vote(signature, rank) is None
 
 
 #: What ``classify`` does on each synthetic report; see ``decision_rule_table``.

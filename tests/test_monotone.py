@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -163,7 +164,7 @@ def test_check_monotone_w_class_stays_null(gen):
     for _ in range(200):
         pair = ec.random_povm_pair(2, gen, party=int(gen.integers(0, 3)))
         chk = ec.check_monotone(w, pair, "det222")
-        thr = policy.det_threshold(1.0, 4)
+        thr = policy.det_rel_eps
         assert chk.before <= thr
         assert chk.after_avg <= thr
         assert chk.passed
@@ -391,6 +392,57 @@ def test_monotone_trial_matches_hand_rolled_draw(measure, party):
 def test_monotone_trial_rejects_party_out_of_range():
     with pytest.raises(ValueError, match="party"):
         ec.monotone_trial("det222", 1, 0, party=3)
+
+
+@pytest.mark.parametrize("value", [1.5, True, "2"])
+def test_monotone_batch_rejects_non_integral_trials(value):
+    # int() used to run trial 1 for 1.5 and True, and trial 2 for "2".
+    message = re.escape(f"stream must be an integer, got {value!r}")
+    for trials in ([value], list(range(_BLOCK)) + [value]):
+        with pytest.raises(ValueError, match=message):
+            ec.monotone_batch("det222", 1, trials)
+
+
+def test_monotone_batch_takes_numpy_integers():
+    got = ec.monotone_batch("det223", 1, np.array([3, 70], dtype=np.int64))
+    want = ec.monotone_batch("det223", 1, [3, 70])
+    for name in ("trial", "before", "slack", "passed", "probabilities", "measure_after"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, value, call",
+    [
+        ("trials", True, lambda v: ec.monte_carlo("det222", v, 1)),
+        ("trials", 2.5, lambda v: ec.monte_carlo("det222", v, 1)),
+        ("party", True, lambda v: ec.monte_carlo("det222", 2, 1, party=v)),
+        ("party", 1.0, lambda v: ec.monte_carlo("det223", 2, 1, party=v)),
+        ("party", True, lambda v: ec.monotone_trial("det222", 1, 0, party=v)),
+        ("party", True, lambda v: ec.PovmPair(v, *[np.eye(2)] * 3, (0.6, 0.8), (0.8, 0.6))),
+        ("party", 1.5, lambda v: ec.random_povm_pair(2, ec.RandomSource(1), party=v)),
+        ("party", 1.0, lambda v: ec.equality_case_povm(2, 0.3, party=v)),
+    ],
+    ids=[
+        "monte_carlo-trials-bool", "monte_carlo-trials-float", "monte_carlo-party-bool",
+        "monte_carlo-party-float", "monotone_trial-party-bool", "PovmPair-party-bool",
+        "random_povm_pair-party-float", "equality_case_povm-party-float",
+    ],
+)
+def test_party_and_trial_count_must_be_integers(name, value, call):
+    # Each of these used to run as the integer it rounds to, or to fail
+    # with a TypeError from tuple indexing or range().
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        call(value)
+
+
+def test_party_and_trial_count_take_numpy_integers():
+    got = ec.monte_carlo("det223", np.int64(70), 4, party=np.int32(1))
+    want = ec.monte_carlo("det223", 70, 4, party=1)
+    assert (got.min_slack, got.min_slack_trial, got.failures) == (
+        want.min_slack, want.min_slack_trial, want.failures,
+    )
+    pair = ec.random_povm_pair(2, ec.RandomSource(1), party=np.int64(2))
+    assert type(pair.party) is int and pair.party == 2
 
 
 def test_monte_carlo_counts_what_the_trial_kernel_fails():

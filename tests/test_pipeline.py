@@ -81,10 +81,10 @@ def reference_invariants(psi):
     det222 = ec.det222(compress_clare(psi, 2)) if ranks[2] <= 2 else None
     det223 = ec.det223(compress_clare(psi, 3)) if ranks[2] <= 3 else None
     if ranks == (2, 2, 2):
-        generic = abs(det222) > POLICY.det_threshold(1.0, 4)
+        generic = abs(det222) > POLICY.det_rel_eps
         label = ec.ClassLabel.GHZ if generic else ec.ClassLabel.W
     elif ranks == (2, 2, 3):
-        generic = abs(det223) > POLICY.det_threshold(1.0, 6)
+        generic = abs(det223) > POLICY.det_rel_eps
         label = ec.ClassLabel.C223_GEN if generic else ec.ClassLabel.C223_DEG
     else:
         label = next(lab for lab in ALL_LABELS if lab.rank_signature == ranks)
