@@ -52,9 +52,9 @@ DEFAULT_POLICY = TolerancePolicy()
 
 
 def _check_int(name: str, value) -> int:
-    """``value`` as an int, or ValueError naming it. A float, bool or string
-    would otherwise act as the integer that int() makes of it."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+    """``value`` as an int, or ValueError naming it. A float, bool, string or
+    array would otherwise act as the integer that int() makes of it."""
+    if isinstance(value, (bool, np.ndarray)) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
 

@@ -108,7 +108,7 @@ def test_random_source_substream():
     assert numpy_ints.integers(2**62) == ec.RandomSource(3, 2).generator().integers(2**62)
 
 
-@pytest.mark.parametrize("value", [1.5, 1.0, np.float64(2.0), True, False, "3"])
+@pytest.mark.parametrize("value", [1.5, 1.0, np.float64(2.0), True, False, "3", np.array(3.0)])
 def test_random_source_rejects_non_integral_keys(value):
     # Each of these used to key the stream of the integer int() makes of it.
     for args in ((value,), (0, value)):
