@@ -61,8 +61,9 @@ def _check_int(name: str, value) -> int:
 
 def _check_key(name: str, value) -> None:
     """Raise ValueError unless ``value`` is an integer in [0, 2**64)."""
-    if not 0 <= _check_int(name, value) < 2**64:
-        raise ValueError(f"{name} must be a 64-bit unsigned integer")
+    if type(value) is not int or not 0 <= value < 2**64:  # one test per engine trial
+        if not 0 <= _check_int(name, value) < 2**64:
+            raise ValueError(f"{name} must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)
