@@ -129,9 +129,9 @@ def decision_rule_table(monkeypatch) -> dict[str, str]:
 
 
 def test_decision_rule_matches_parent_table(monkeypatch):
-    # Every label and every error of the decision tree, pinned before the
-    # rule is rewritten; a deliberate change regenerates the table and
-    # says so.
+    # Every label and every error of the decision tree; a rewrite of the
+    # rule keeps them all, and a deliberate change regenerates the table
+    # and says so.
     got = decision_rule_table(monkeypatch)
     assert sorted(got) == sorted(DECISION_RULE)
     assert {k: v for k, v in got.items() if DECISION_RULE[k] != v} == {}
