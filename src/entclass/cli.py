@@ -310,10 +310,12 @@ def _flag_or_env(flag, name: str, cast, default):
 
 
 def _policy_from(args) -> TolerancePolicy:
-    return TolerancePolicy(
-        rank_rel_eps=_flag_or_env(args.rank_eps, ENV_RANK_EPS, float, DEFAULT_POLICY.rank_rel_eps),
-        det_rel_eps=_flag_or_env(args.det_eps, ENV_DET_EPS, float, DEFAULT_POLICY.det_rel_eps),
-    )
+    """The flags' or variables' policy; DEFAULT_POLICY where they give its values."""
+    rank_eps = _flag_or_env(args.rank_eps, ENV_RANK_EPS, float, DEFAULT_POLICY.rank_rel_eps)
+    det_eps = _flag_or_env(args.det_eps, ENV_DET_EPS, float, DEFAULT_POLICY.det_rel_eps)
+    if (rank_eps, det_eps) == (DEFAULT_POLICY.rank_rel_eps, DEFAULT_POLICY.det_rel_eps):
+        return DEFAULT_POLICY
+    return TolerancePolicy(rank_rel_eps=rank_eps, det_rel_eps=det_eps)
 
 
 def _emit(doc: Any, out=None) -> None:
@@ -461,7 +463,7 @@ def run(argv: Sequence[str]) -> int:
                 "schema": SCHEMA,
                 "command": argv,
                 "seed": seed,
-                "tolerances": None if policy is None else dataclasses.asdict(policy),
+                "tolerances": None if policy is None else dict(vars(policy)),
                 "result": result,
             }
         )

@@ -25,6 +25,7 @@ from .numerics import DEFAULT_POLICY, TolerancePolicy
 from .tensor import (
     DensityMatrix,
     StateTensor,
+    _unit,
     reduced_density,
     reduced_density_pair,
 )
@@ -66,6 +67,9 @@ def _magic_basis_selftest() -> int:
 
 #: +1 or -1; established once at import.
 BILINEAR_SIGN = _magic_basis_selftest()
+#: BILINEAR_SIGN * SPIN_FLIP, complex so that products with amplitudes need no cast.
+_SIGNED_FLIP = (BILINEAR_SIGN * SPIN_FLIP).astype(complex)
+_SIGNED_FLIP.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -158,7 +162,9 @@ def _qubit_spectrum(gram) -> tuple[float, float]:
 def _rank(svals, threshold: float) -> tuple[int, float]:
     """The count of descending ``svals`` above ``threshold``, and its margin:
     the smaller gap to the smallest kept and to the largest dropped value."""
-    rank = len([x for x in svals if x > threshold])
+    rank = 0
+    for x in svals:
+        rank += x > threshold
     kept = svals[rank - 1] - threshold if rank else math.inf
     return rank, min(kept, threshold - svals[rank]) if rank < len(svals) else kept
 
@@ -169,27 +175,32 @@ def _local_spectra(amps: np.ndarray, policy: TolerancePolicy):
     of Clare's unfolding). Alice's and Bob's unfoldings share one SVD.
 
     Each rank is checked against the eigenvalues lambda of the party's k x k
-    reduced density (closed form for Alice and Bob, eigvalsh for Clare).
-    They meet the squared threshold t^2 but are exact only to delta =
-    8 k eps lambda_0 > t^2, so the rank must lie in [#{lambda > t^2 + delta},
-    #{lambda > t^2 - delta}]. At the default policy t^2 < delta for every n
-    up to 16 (1.6e-17 against 3.5e-15 lambda_0 for a 2x4 unfolding), so the
-    upper count is always k and the check is a lower bound on the rank. It
-    is two-sided only when rank_rel_eps exceeds sqrt(8 k eps) / max_dim."""
+    reduced density: closed form for each 2x2 density (Alice's, Bob's, and
+    Clare's at n = 2), eigvalsh for Clare's at any other n. They meet the
+    squared threshold t^2 but are exact only to delta = 8 k eps lambda_0 >
+    t^2, so the rank must lie in [#{lambda > t^2 + delta}, #{lambda > t^2 -
+    delta}]. At the default policy t^2 < delta for every n up to 16 (1.6e-17
+    against 3.5e-15 lambda_0 for a 2x4 unfolding), so the upper count is
+    always k and the check is a lower bound on the rank. It is two-sided
+    only when rank_rel_eps exceeds sqrt(8 k eps) / max_dim."""
     f = amps.reshape(4, -1)
     u, s, _ = np.linalg.svd(f, full_matrices=False)
     pair = np.concatenate((amps, amps.transpose(1, 0, 2))).reshape(2, 2, -1)
     singular = np.linalg.svd(pair, compute_uv=False).tolist() + [s.tolist()]
     grams = (pair @ pair.conj().transpose(0, 2, 1)).tolist()
-    density = [*map(_qubit_spectrum, grams), np.linalg.eigvalsh(f.T @ f.conj()).tolist()]
+    rho = f.T @ f.conj()  # Clare's reduced density, transposed
+    clare = _qubit_spectrum(rho.tolist()) if len(rho) == 2 else np.linalg.eigvalsh(rho).tolist()
+    density = [*map(_qubit_spectrum, grams), clare]
     ranks, margin = [], math.inf
     for party, (svals, eigs) in enumerate(zip(singular, density)):
         k = len(eigs)  # the unfolding is k x (4n / k)
         thr = policy.rank_threshold(svals[0], max(k, f.size // k))
         rank, rank_margin = _rank(svals, thr)
         thr_sq, delta = thr * thr, 8 * k * _EPS * eigs[-1]
-        low = len([e for e in eigs if e > thr_sq + delta])
-        high = len([e for e in eigs if e > thr_sq - delta])
+        low = high = 0
+        for e in eigs:
+            low += e > thr_sq + delta
+            high += e > thr_sq - delta
         if not low <= rank <= high:
             raise NumericalInstabilityError(
                 f"party {party}: unfolding rank {rank} outside the density band "
@@ -217,8 +228,7 @@ def _rank_rtr(f: np.ndarray, policy: TolerancePolicy):
     """
     r = MAGIC_BASIS @ f
     via_magic = r.T @ r
-    via_flip = BILINEAR_SIGN * (f.T @ SPIN_FLIP @ f)
-    deviation = np.abs(via_magic - via_flip).max()
+    deviation = abs(via_magic - f.T @ (_SIGNED_FLIP @ f)).max()
     if deviation > 1e-10:
         raise NumericalInstabilityError(
             "magic-basis and spin-flip routes to R^T R disagree: max deviation "
@@ -271,7 +281,7 @@ def det223(psi: StateTensor) -> complex:
     of the flattened state (rows indexed by the joint Alice-Bob bit pair).
     """
     _require_format(psi, 3)
-    return complex(_det223(psi.amplitudes))
+    return _det223(psi.amplitudes.reshape(4, 3))
 
 
 #: The rows 2a + b of the flattened 2x2x3 state in each 3x3 determinant:
@@ -279,12 +289,13 @@ def det223(psi: StateTensor) -> complex:
 _DET223_ROWS = np.array([[0, 1, 2], [1, 2, 3], [0, 1, 3], [0, 2, 3]])
 
 
-def _det223(a: np.ndarray):
-    """``det223`` on (..., 2, 2, 3) amplitudes: one stacked determinant call
-    over the four row selections of every state."""
-    d = np.linalg.det(a.reshape(a.shape[:-3] + (4, 3))[..., _DET223_ROWS, :])
-    d = np.moveaxis(d, -1, 0)
-    return d[0] * d[1] - d[2] * d[3]
+def _det223(f: np.ndarray):
+    """``det223`` on (..., 4, 3) flattened amplitudes: one stacked determinant
+    call over the four row selections of every state. One state's value is
+    a Python complex, combined without numpy scalars as in ``_det222``."""
+    d = np.linalg.det(f[..., _DET223_ROWS, :])
+    d0, d1, d2, d3 = d.tolist() if d.ndim == 1 else np.moveaxis(d, -1, 0)
+    return d0 * d1 - d2 * d3
 
 
 def concurrence(rho: DensityMatrix | np.ndarray) -> float:
@@ -359,7 +370,7 @@ def invariant_report(
     """
     _require_format(psi)
     norm = psi.norm
-    amps = psi.amplitudes / norm
+    amps = _unit(psi.amplitudes, norm)
     if not np.isfinite(amps).all():
         raise FormatError(f"normalizing by {norm:.6g} left non-finite amplitudes")
     ranks, local_margin, u, s = _local_spectra(amps, policy)
@@ -369,22 +380,12 @@ def invariant_report(
     r3 = ranks[2]
     det222_val = det223_val = None
     if r3 <= 2:
-        adjusted = np.zeros((4, 2), dtype=complex)
-        adjusted[:, :r3] = u[:, :r3] * s[:r3]
-        det222_val = _det222(adjusted.reshape(8).tolist())
+        pad = [0j] * (2 - r3)
+        det222_val = _det222([x for row in (u[:, :r3] * s[:r3]).tolist() for x in row + pad])
         margins["det222"] = abs(det222_val) - policy.det_rel_eps
     if r3 <= 3:
-        det223_val = 0j
-        if r3 == 3:
-            det223_val = complex(_det223((u[:, :3] * s[:3]).reshape(2, 2, 3)))
+        det223_val = _det223(u[:, :3] * s[:3]) if r3 == 3 else 0j
         margins["det223"] = abs(det223_val) - policy.det_rel_eps
     return InvariantReport(
-        local_ranks=ranks,
-        rank_rtr=rank_rtr,
-        singular_values_rtr=svals_rtr,
-        det222=det222_val,
-        det223=det223_val,
-        norm=norm,
-        tolerances=policy,
-        margins=margins,
+        ranks, rank_rtr, svals_rtr, det222_val, det223_val, norm, policy, margins
     )

@@ -65,6 +65,15 @@ def _is_invertible(matrix: np.ndarray) -> bool:
     return bool(svals[-1] > _INVERTIBLE_REL_EPS * svals[0] * rows)
 
 
+def _unit(amplitudes: np.ndarray, norm: float) -> np.ndarray:
+    """``amplitudes`` divided by their 2-norm ``norm``. A norm above the float
+    range (inf) is divided out after a rescale by the largest modulus."""
+    if math.isinf(norm):
+        amplitudes = amplitudes / np.abs(amplitudes).max()
+        norm = float(np.linalg.norm(amplitudes))
+    return amplitudes / norm
+
+
 @dataclass(frozen=True, eq=False)
 class StateTensor:
     """A pure state: per-party dimensions and a dense complex amplitude array.
@@ -120,7 +129,7 @@ class StateTensor:
         return abs(norm * norm - 1.0) <= atol
 
     def normalize(self) -> "StateTensor":
-        return StateTensor(self.dims, self.amplitudes / self.norm)
+        return StateTensor(self.dims, _unit(self.amplitudes, self.norm))
 
     def require_normalized(self) -> None:
         """Raise unless the squared norm is within 1e-9 of 1."""

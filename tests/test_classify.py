@@ -1,8 +1,10 @@
 """Decision procedure, cross-checks, and the conversion partial order."""
 
+import dataclasses
 import importlib
 import itertools
 import json
+import math
 import pickle
 from pathlib import Path
 
@@ -386,3 +388,15 @@ def test_classify_at_the_ends_of_the_float_range(name, scale):
     got, report = ec.classify(scaled)
     assert got == ec.ClassLabel.parse(name)
     assert report.norm == pytest.approx(scale)
+
+
+@pytest.mark.parametrize("name,scale", [("GHZ", 1.5e308), ("GEN224", 1e308)])
+def test_classify_when_the_norm_overflows(name, scale):
+    # The 2-norm is above the float range (inf); the report records it, and
+    # every other field is that of the same pattern at unit scale.
+    dims, pattern = rep(name).dims, (rep(name).amplitudes != 0) * 1.0
+    got, report = ec.classify(ec.StateTensor(dims, pattern * scale))
+    assert got == ec.ClassLabel.parse(name)
+    assert report.norm == math.inf
+    unit = ec.classify(ec.StateTensor(dims, pattern))[1]
+    assert dataclasses.replace(report, norm=unit.norm) == unit

@@ -96,28 +96,39 @@ def closed_form_cases(family):
 
 @pytest.mark.parametrize("family", ["random", "dressed", "b3_plus_w", "scaled"])
 def test_qubit_spectrum_matches_eigvalsh(family):
-    # Alice's and Bob's closed-form density spectra stay within the band
-    # delta = 16 eps lambda_0 that the rank cross-check allows eigvalsh, on
-    # the Gram matrices of the normalized state the kernel builds.
+    # The closed-form density spectra (Alice's and Bob's, and Clare's at
+    # n = 2) stay within the band delta = 16 eps lambda_0 that the rank
+    # cross-check allows eigvalsh, on the matrices of the normalized state
+    # the kernel builds.
     eps = np.finfo(float).eps
+    clare_cases = 0
     for psi in closed_form_cases(family):
         amps = psi.amplitudes / psi.norm
         pair = np.concatenate((amps, amps.transpose(1, 0, 2)))
         pair = pair.reshape(2, 2, 2 * psi.dims[2])
-        for gram in pair @ pair.conj().transpose(0, 2, 1):
+        grams = list(pair @ pair.conj().transpose(0, 2, 1))
+        if psi.dims[2] == 2:
+            f = amps.reshape(4, 2)
+            grams.append(f.T @ f.conj())
+            clare_cases += 1
+        for gram in grams:
             want = np.linalg.eigvalsh(gram)
             got = invariants._qubit_spectrum(gram.tolist())
             assert np.abs(np.subtract(got, want)).max() <= 16 * eps * want[-1]
+    assert clare_cases > 0
 
 
 @pytest.mark.parametrize(
     "label,spectrum,band",
-    [("SEP", (0.5, 0.5), r"rank 1 outside the density band \[2, 2\]"),
-     ("GHZ", (-1.0, 1.0), r"rank 2 outside the density band \[1, 1\]")],
+    [("SEP", (0.5, 0.5), r"party 0: unfolding rank 1 outside the density band \[2, 2\]"),
+     ("GHZ", (-1.0, 1.0), r"party 0: unfolding rank 2 outside the density band \[1, 1\]"),
+     ("B3", (0.5, 0.5), r"party 2: unfolding rank 1 outside the density band \[2, 2\]")],
 )
 def test_density_route_disagreement_raises(label, spectrum, band, monkeypatch):
+    # B3 = |010> + |100> at n = 2: Alice and Bob have rank 2, so the wrong
+    # spectrum is caught on Clare's closed-form route.
     monkeypatch.setattr(invariants, "_qubit_spectrum", lambda gram: spectrum)
-    with pytest.raises(NumericalInstabilityError, match="party 0: unfolding " + band):
+    with pytest.raises(NumericalInstabilityError, match=band):
         ec.invariant_report(rep(label))
 
 
