@@ -120,16 +120,22 @@ def test_qubit_spectrum_matches_eigvalsh(family):
 
 @pytest.mark.parametrize(
     "label,spectrum,band",
-    [("SEP", (0.5, 0.5), r"party 0: unfolding rank 1 outside the density band \[2, 2\]"),
-     ("GHZ", (-1.0, 1.0), r"party 0: unfolding rank 2 outside the density band \[1, 1\]"),
-     ("B3", (0.5, 0.5), r"party 2: unfolding rank 1 outside the density band \[2, 2\]")],
+    [("SEP", (0.5, 0.5), r"rank 1 outside the density band \[2, 2\]"),
+     ("GHZ", (-1.0, 1.0), r"rank 2 outside the density band \[1, 1\]")],
 )
 def test_density_route_disagreement_raises(label, spectrum, band, monkeypatch):
-    # B3 = |010> + |100> at n = 2: Alice and Bob have rank 2, so the wrong
-    # spectrum is caught on Clare's closed-form route.
     monkeypatch.setattr(invariants, "_qubit_spectrum", lambda gram: spectrum)
-    with pytest.raises(NumericalInstabilityError, match=band):
+    with pytest.raises(NumericalInstabilityError, match="party 0: unfolding " + band):
         ec.invariant_report(rep(label))
+
+
+def test_clare_density_route_disagreement_raises(monkeypatch):
+    # B3 = |010> + |100> at n = 2: Alice and Bob have rank 2 and Clare rank
+    # 1, so a flat spectrum is caught on Clare's closed-form route.
+    monkeypatch.setattr(invariants, "_qubit_spectrum", lambda gram: (0.5, 0.5))
+    band = r"party 2: unfolding rank 1 outside the density band \[2, 2\]"
+    with pytest.raises(NumericalInstabilityError, match=band):
+        ec.invariant_report(rep("B3"))
 
 
 # ---------------------------------------------------------------------------
