@@ -310,12 +310,10 @@ def _flag_or_env(flag, name: str, cast, default):
 
 
 def _policy_from(args) -> TolerancePolicy:
-    """The flags' or variables' policy; DEFAULT_POLICY where they give its values."""
-    rank_eps = _flag_or_env(args.rank_eps, ENV_RANK_EPS, float, DEFAULT_POLICY.rank_rel_eps)
-    det_eps = _flag_or_env(args.det_eps, ENV_DET_EPS, float, DEFAULT_POLICY.det_rel_eps)
-    if (rank_eps, det_eps) == (DEFAULT_POLICY.rank_rel_eps, DEFAULT_POLICY.det_rel_eps):
-        return DEFAULT_POLICY
-    return TolerancePolicy(rank_rel_eps=rank_eps, det_rel_eps=det_eps)
+    return TolerancePolicy(
+        rank_rel_eps=_flag_or_env(args.rank_eps, ENV_RANK_EPS, float, DEFAULT_POLICY.rank_rel_eps),
+        det_rel_eps=_flag_or_env(args.det_eps, ENV_DET_EPS, float, DEFAULT_POLICY.det_rel_eps),
+    )
 
 
 def _emit(doc: Any, out=None) -> None:

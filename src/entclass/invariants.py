@@ -281,7 +281,7 @@ def det223(psi: StateTensor) -> complex:
     of the flattened state (rows indexed by the joint Alice-Bob bit pair).
     """
     _require_format(psi, 3)
-    return _det223(psi.amplitudes.reshape(4, 3))
+    return complex(_det223(psi.amplitudes))
 
 
 #: The rows 2a + b of the flattened 2x2x3 state in each 3x3 determinant:
@@ -289,13 +289,12 @@ def det223(psi: StateTensor) -> complex:
 _DET223_ROWS = np.array([[0, 1, 2], [1, 2, 3], [0, 1, 3], [0, 2, 3]])
 
 
-def _det223(f: np.ndarray):
-    """``det223`` on (..., 4, 3) flattened amplitudes: one stacked determinant
-    call over the four row selections of every state. One state's value is
-    a Python complex, combined without numpy scalars as in ``_det222``."""
-    d = np.linalg.det(f[..., _DET223_ROWS, :])
-    d0, d1, d2, d3 = d.tolist() if d.ndim == 1 else np.moveaxis(d, -1, 0)
-    return d0 * d1 - d2 * d3
+def _det223(a: np.ndarray):
+    """``det223`` on (..., 2, 2, 3) amplitudes: one stacked determinant call
+    over the four row selections of every state."""
+    d = np.linalg.det(a.reshape(a.shape[:-3] + (4, 3))[..., _DET223_ROWS, :])
+    d = np.moveaxis(d, -1, 0)
+    return d[0] * d[1] - d[2] * d[3]
 
 
 def concurrence(rho: DensityMatrix | np.ndarray) -> float:
@@ -384,7 +383,7 @@ def invariant_report(
         det222_val = _det222([x for row in (u[:, :r3] * s[:r3]).tolist() for x in row + pad])
         margins["det222"] = abs(det222_val) - policy.det_rel_eps
     if r3 <= 3:
-        det223_val = _det223(u[:, :3] * s[:3]) if r3 == 3 else 0j
+        det223_val = complex(_det223((u[:, :3] * s[:3]).reshape(2, 2, 3))) if r3 == 3 else 0j
         margins["det223"] = abs(det223_val) - policy.det_rel_eps
     return InvariantReport(
         ranks, rank_rtr, svals_rtr, det222_val, det223_val, norm, policy, margins

@@ -361,7 +361,7 @@ def _evaluate(measure: str, psi: np.ndarray, groups) -> _Evaluated:
     if measure == "det222":
         values = _det222(stacked.reshape(-1, 8).T)
     else:
-        values = _det223(stacked.reshape(-1, 4, 3))
+        values = _det223(stacked)
     values = np.abs(values).reshape(len(psi), 3)
     before = values[:, 0]
     after = np.where(null, 0.0, values[:, 1:])
@@ -555,8 +555,7 @@ def monte_carlo(
     slack < -(1e-9*|before| + 1e-14).
     """
     _measure(measure)
-    trials = _check_int("trials", trials)
-    if trials < 1:
+    if (trials := _check_int("trials", trials)) < 1:
         raise ValueError("trials must be positive")
     min_slack = math.inf
     min_trial = -1

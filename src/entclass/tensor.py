@@ -65,12 +65,18 @@ def _is_invertible(matrix: np.ndarray) -> bool:
     return bool(svals[-1] > _INVERTIBLE_REL_EPS * svals[0] * rows)
 
 
+def _rescaled_norm(amplitudes: np.ndarray) -> tuple[float, float]:
+    """``(scale, rest)`` with ``scale * rest`` the 2-norm of ``amplitudes``; the scale,
+    their largest real or imaginary part, is finite where a modulus may not be."""
+    scale = max(float(np.abs(amplitudes.real).max()), float(np.abs(amplitudes.imag).max()))
+    return scale, float(np.linalg.norm(amplitudes / scale))
+
+
 def _unit(amplitudes: np.ndarray, norm: float) -> np.ndarray:
-    """``amplitudes`` divided by their 2-norm ``norm``. A norm above the float
-    range (inf) is divided out after a rescale by the largest modulus."""
+    """``amplitudes`` over their 2-norm ``norm``, in two steps where it is inf."""
     if math.isinf(norm):
-        amplitudes = amplitudes / np.abs(amplitudes).max()
-        norm = float(np.linalg.norm(amplitudes))
+        scale, norm = _rescaled_norm(amplitudes)
+        amplitudes = amplitudes / scale
     return amplitudes / norm
 
 
@@ -117,9 +123,8 @@ class StateTensor:
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(self.amplitudes))
         if not 1e-150 < norm < 1e150:
-            # Under- or overflow: rescale by the (finite, nonzero) largest modulus.
-            scale = float(np.abs(self.amplitudes).max())
-            norm = scale * float(np.linalg.norm(self.amplitudes / scale))
+            scale, rest = _rescaled_norm(self.amplitudes)
+            norm = scale * rest
         return norm
 
     # The norm is squared by multiplication: a huge norm gives inf, where

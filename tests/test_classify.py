@@ -390,13 +390,15 @@ def test_classify_at_the_ends_of_the_float_range(name, scale):
     assert report.norm == pytest.approx(scale)
 
 
-@pytest.mark.parametrize("name,scale", [("GHZ", 1.5e308), ("GEN224", 1e308)])
+@pytest.mark.parametrize(
+    "name,scale", [("GHZ", 1.5e308), ("GEN224", 1e308), ("GHZ", 1.5e308 + 1.5e308j)]
+)
 def test_classify_when_the_norm_overflows(name, scale):
     # The 2-norm is above the float range (inf); the report records it, and
-    # every other field is that of the same pattern at unit scale.
+    # every other field is that of the same pattern scaled by scale / |Re scale|.
     dims, pattern = rep(name).dims, (rep(name).amplitudes != 0) * 1.0
     got, report = ec.classify(ec.StateTensor(dims, pattern * scale))
     assert got == ec.ClassLabel.parse(name)
     assert report.norm == math.inf
-    unit = ec.classify(ec.StateTensor(dims, pattern))[1]
+    unit = ec.classify(ec.StateTensor(dims, pattern * (scale / scale.real)))[1]
     assert dataclasses.replace(report, norm=unit.norm) == unit

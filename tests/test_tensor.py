@@ -239,14 +239,18 @@ def test_norm_is_scale_free(scale):
     assert scaled.normalize().allclose(psi, atol=1e-15)
 
 
-@pytest.mark.parametrize("name,scale", [("GHZ", 1.5e308), ("GEN224", 1e308)])
+@pytest.mark.parametrize(
+    "name,scale", [("GHZ", 1.5e308), ("GEN224", 1e308), ("GHZ", 1.5e308 + 1.5e308j)]
+)
 def test_normalize_when_the_norm_overflows(name, scale):
     # Every amplitude is finite but the 2-norm exceeds the largest float64,
-    # so it reads inf; dividing by it would give the zero tensor.
+    # so it reads inf; dividing by it would give the zero tensor. At
+    # 1.5e308 + 1.5e308j the modulus of each amplitude overflows too.
     psi = ec.representative(name)
     huge = ec.StateTensor(psi.dims, (psi.amplitudes != 0) * scale)
     assert huge.norm == math.inf
-    assert huge.normalize().allclose(psi, atol=1e-15)
+    phase = scale / scale.real / abs(scale / scale.real)
+    assert huge.normalize().allclose(ec.StateTensor(psi.dims, psi.amplitudes * phase), atol=1e-15)
 
 
 @pytest.mark.parametrize(
