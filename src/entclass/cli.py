@@ -55,7 +55,7 @@ from .protocols import (
     distill_from_generic,
     entanglement_swap,
 )
-from .tensor import LocalOperation, StateTensor, make_state, representative
+from .tensor import LocalOperation, StateTensor, _unit_and_norm, make_state, representative
 
 SCHEMA = "entclass-report/1"
 
@@ -144,7 +144,10 @@ def _serialize_operation(op: LocalOperation | None) -> Any:
     }
 
 
-def _serialize_invariants(report: InvariantReport) -> dict:
+def _serialize_invariants(report: InvariantReport, psi: StateTensor) -> dict:
+    norm = report.norm
+    if math.isinf(norm):  # JSON has no inf: send the norm as mantissa * 2**exp2
+        norm = dict(zip(("mantissa", "exp2"), _unit_and_norm(psi.amplitudes)[2:]))
     return {
         "local_ranks": list(report.local_ranks),
         "rank_rtr": report.rank_rtr,
@@ -153,7 +156,7 @@ def _serialize_invariants(report: InvariantReport) -> dict:
         "det222_abs": None if report.det222 is None else abs(report.det222),
         "det223": report.det223,
         "det223_abs": None if report.det223 is None else abs(report.det223),
-        "norm": report.norm,
+        "norm": norm,
         "margins": dict(report.margins),
     }
 
@@ -328,12 +331,12 @@ def _cmd_state(args, policy, seed) -> tuple[dict, int]:
     """classify and invariants: one state file, one invariant report."""
     psi = read_state_file(args.infile)
     if args.subcommand == "invariants":
-        return {"invariants": _serialize_invariants(invariant_report(psi, policy))}, 0
+        return {"invariants": _serialize_invariants(invariant_report(psi, policy), psi)}, 0
     label, report = classify(psi, policy)
     result = {
         "label": label.display_name,
         "grade": label.grade,
-        "invariants": _serialize_invariants(report),
+        "invariants": _serialize_invariants(report, psi),
     }
     return result, 0
 

@@ -25,7 +25,7 @@ from .numerics import DEFAULT_POLICY, TolerancePolicy
 from .tensor import (
     DensityMatrix,
     StateTensor,
-    _unit,
+    _unit_and_norm,
     reduced_density,
     reduced_density_pair,
 )
@@ -362,16 +362,14 @@ def invariant_report(
 ) -> InvariantReport:
     """Assemble the full invariant suite for a (2, 2, n) state.
 
-    The state is normalized internally (the original norm is recorded).
+    The state is normalized by one exact power-of-two scaling, so psi * 2**k
+    changes only ``norm``, the original 2-norm (inf above the float range).
     The SVD F = U diag(s) V^dagger of the flattened state gives Clare's rank
     r3 and, via her unitary V^T, the rank-adjusted state U[:, :r3] diag(s[:r3])
     zero-padded to 2 or 3 levels, on which the determinants are evaluated.
     """
     _require_format(psi)
-    norm = psi.norm
-    amps = _unit(psi.amplitudes, norm)
-    if not np.isfinite(amps).all():
-        raise FormatError(f"normalizing by {norm:.6g} left non-finite amplitudes")
+    amps, norm = _unit_and_norm(psi.amplitudes)[:2]
     ranks, local_margin, u, s = _local_spectra(amps, policy)
     rank_rtr, svals_rtr, rtr_margin = _rank_rtr(amps.reshape(4, -1), policy)
     margins = {"local_ranks": local_margin, "rank_rtr": rtr_margin}

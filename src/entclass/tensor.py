@@ -65,19 +65,18 @@ def _is_invertible(matrix: np.ndarray) -> bool:
     return bool(svals[-1] > _INVERTIBLE_REL_EPS * svals[0] * rows)
 
 
-def _rescaled_norm(amplitudes: np.ndarray) -> tuple[float, float]:
-    """``(scale, rest)`` with ``scale * rest`` the 2-norm of ``amplitudes``; the scale,
-    their largest real or imaginary part, is finite where a modulus may not be."""
-    scale = max(float(np.abs(amplitudes.real).max()), float(np.abs(amplitudes.imag).max()))
-    return scale, float(np.linalg.norm(amplitudes / scale))
-
-
-def _unit(amplitudes: np.ndarray, norm: float) -> np.ndarray:
-    """``amplitudes`` over their 2-norm ``norm``, in two steps where it is inf."""
-    if math.isinf(norm):
-        scale, norm = _rescaled_norm(amplitudes)
-        amplitudes = amplitudes / scale
-    return amplitudes / norm
+def _unit_and_norm(amplitudes: np.ndarray) -> tuple[np.ndarray, float, float, int]:
+    """``(unit, norm, m, e)``: C-contiguous complex amplitudes over their 2-norm,
+    the norm (inf above the float range) and the norm as ``m * 2**e``, 0.5 <= m < 1.
+    One exact power-of-two scaling first puts the largest real or imaginary part
+    in [0.5, 1), so no sum of squares over- or underflows, for subnormal parts too."""
+    parts = amplitudes.view(float)
+    e = math.frexp(float(np.abs(parts).max()))[1]
+    scaled = np.ldexp(parts, -e).view(complex)
+    rest = float(np.linalg.norm(scaled))
+    m, shift = math.frexp(rest)
+    e += shift
+    return scaled / rest, math.ldexp(m, e) if e <= 1024 else math.inf, m, e
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,14 +117,8 @@ class StateTensor:
 
     @property
     def norm(self) -> float:
-        # Amplitudes above about 1e154 overflow the sum of squares to inf,
-        # which the rescale below recovers from.
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(self.amplitudes))
-        if not 1e-150 < norm < 1e150:
-            scale, rest = _rescaled_norm(self.amplitudes)
-            norm = scale * rest
-        return norm
+        """The 2-norm of the amplitudes; inf only where it is above the float range."""
+        return _unit_and_norm(self.amplitudes)[1]
 
     # The norm is squared by multiplication: a huge norm gives inf, where
     # ``**`` would raise OverflowError.
@@ -134,7 +127,7 @@ class StateTensor:
         return abs(norm * norm - 1.0) <= atol
 
     def normalize(self) -> "StateTensor":
-        return StateTensor(self.dims, _unit(self.amplitudes, self.norm))
+        return StateTensor(self.dims, _unit_and_norm(self.amplitudes)[0])
 
     def require_normalized(self) -> None:
         """Raise unless the squared norm is within 1e-9 of 1."""
@@ -324,12 +317,17 @@ def apply_local(operation: LocalOperation, psi: StateTensor) -> StateTensor:
                 f"{psi.dims[axis]}"
             )
         out = np.moveaxis(np.tensordot(factor, out, axes=(1, axis)), 0, axis)
-    scale = psi.norm * math.prod(
-        max(float(np.linalg.norm(m)), 1e-300) for m in operation.factors
-    )
-    if float(np.linalg.norm(out)) <= 1e-14 * scale:
+    if not out.any():
         raise AnnihilationError("local operation annihilated the state")
-    return StateTensor(out.shape, out)
+    result = StateTensor(out.shape, out)
+    # ||out|| <= 1e-14 ||psi|| prod ||M_i||_F, as m * 2**e: no product overflows.
+    m, e = _unit_and_norm(result.amplitudes)[2:]
+    for a in (psi.amplitudes, *operation.factors):
+        m_a, e_a = _unit_and_norm(a)[2:]
+        m, e = m / m_a, e - e_a
+    if math.ldexp(m, e) <= 1e-14:
+        raise AnnihilationError("local operation annihilated the state")
+    return result
 
 
 def reduced_density(psi: StateTensor, party: int) -> DensityMatrix:

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,28 @@ def natural_n(label) -> int:
 
 def rep(label, n=None) -> ec.StateTensor:
     return ec.representative(label, n)
+
+
+#: Largest real or imaginary parts at both ends of the float range: the
+#: smallest subnormal, two more subnormals, and two whose 2-norms overflow.
+EDGE_SCALES = [5e-324, 1e-310, 5.5e-309, 1.5e308, 1.5e308 + 1.5e308j]
+
+
+def pattern(label) -> np.ndarray:
+    """The 0/1 amplitudes of a class representative. Scaling the representative
+    itself by 5e-324 would round its 1/sqrt(2) and 1/2 entries to other states."""
+    return (rep(label).amplitudes != 0) * 1.0
+
+
+def mantissa(scale) -> tuple[complex, int]:
+    """``(m, e)`` with ``scale == m * 2**e`` and m's largest part in [0.5, 1)."""
+    e = math.frexp(max(abs(scale.real), abs(scale.imag)))[1]
+    return complex(math.ldexp(scale.real, -e), math.ldexp(scale.imag, -e)), e
+
+
+def times_two_to(x: float, e: int) -> float:
+    """``x * 2**e``, inf above the float range."""
+    return math.ldexp(x, e) if math.frexp(x)[1] + e <= 1024 else math.inf
 
 
 def svd_rank(m, policy=ec.DEFAULT_POLICY) -> int:

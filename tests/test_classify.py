@@ -18,11 +18,15 @@ from entclass.errors import AmbiguityError, SignatureError
 
 from conftest import (
     ALL_LABELS,
+    EDGE_SCALES,
     compress_clare,
+    mantissa,
     natural_n,
+    pattern,
     random_invertible_op,
     random_noninvertible_op,
     rep,
+    times_two_to,
 )
 
 TABLE = {
@@ -395,10 +399,41 @@ def test_classify_at_the_ends_of_the_float_range(name, scale):
 )
 def test_classify_when_the_norm_overflows(name, scale):
     # The 2-norm is above the float range (inf); the report records it, and
-    # every other field is that of the same pattern scaled by scale / |Re scale|.
-    dims, pattern = rep(name).dims, (rep(name).amplitudes != 0) * 1.0
-    got, report = ec.classify(ec.StateTensor(dims, pattern * scale))
+    # every other field is that of the same pattern times the power-of-two
+    # mantissa scale * 2**-e.
+    dims, ones = rep(name).dims, pattern(name)
+    got, report = ec.classify(ec.StateTensor(dims, ones * scale))
     assert got == ec.ClassLabel.parse(name)
     assert report.norm == math.inf
-    unit = ec.classify(ec.StateTensor(dims, pattern * (scale / scale.real)))[1]
+    unit = ec.classify(ec.StateTensor(dims, ones * mantissa(scale)[0]))[1]
     assert dataclasses.replace(report, norm=unit.norm) == unit
+
+
+@pytest.mark.parametrize("scale", EDGE_SCALES)
+@pytest.mark.parametrize("label", ALL_LABELS, ids=lambda l: l.name)
+def test_classify_a_subnormal_or_overflowing_state(label, scale):
+    # Every report field but the norm is that of pattern * m, where
+    # pattern * scale == pattern * m * 2**e exactly.
+    m, e = mantissa(scale)
+    got, report = ec.classify(ec.StateTensor(rep(label).dims, pattern(label) * scale))
+    unit = ec.classify(ec.StateTensor(rep(label).dims, pattern(label) * m))[1]
+    assert got == label
+    assert report.norm == pytest.approx(times_two_to(unit.norm, e), rel=1e-15, abs=5e-324)
+    assert dataclasses.replace(report, norm=unit.norm) == unit
+
+
+@pytest.mark.parametrize("k", [-1000, -500, -1, 1, 500, 1000, 1023])
+def test_classify_is_invariant_under_powers_of_two(k):
+    # SLOCC classes are projective, and scaling by 2**k is exact: the label
+    # and every report field but the norm keep their bits.
+    gen = ec.RandomSource(16).generator()
+    states = [rep(label) for label in ALL_LABELS]
+    states += [
+        ec.apply_local(random_invertible_op(rep(label).dims, gen), rep(label)).normalize()
+        for label in ALL_LABELS[::2]
+    ]
+    for psi in states:
+        label, report = ec.classify(psi)
+        got, scaled = ec.classify(ec.StateTensor(psi.dims, psi.amplitudes * 2.0**k))
+        assert got == label
+        assert dataclasses.replace(scaled, norm=report.norm) == report

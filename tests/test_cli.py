@@ -22,7 +22,7 @@ from entclass.cli import (
 )
 from entclass.errors import StateFileError
 
-from conftest import ALL_LABELS, natural_n
+from conftest import ALL_LABELS, EDGE_SCALES, mantissa, natural_n, pattern, times_two_to
 
 #: sha256 per report case; see ``report_digests``.
 DIGESTS = json.loads(Path(__file__).with_name("cli_report_digests.json").read_text())
@@ -148,18 +148,50 @@ def test_report_det_values_are_re_im_objects_or_null(
 @pytest.mark.parametrize("normalize", [True, False])
 def test_classify_when_the_norm_overflows(tmp_path, capsys, normalize, amp):
     # Amplitudes of 1.5e308 are finite, their 2-norm is not. The state is
-    # classified; the report of an unnormalized one records norm inf, which
-    # JSON cannot carry, so the CLI refuses it with a one-line error.
+    # classified; JSON has no inf, so the report of an unnormalized one
+    # carries the norm as mantissa * 2**exp2.
     psi = ec.make_state((2, 2, 2), [((0, 0, 0), amp), ((1, 1, 1), amp)])
     path = tmp_path / "huge.json"
     path.write_text(render(state_document(psi, normalize=normalize)))
     code, out, err = invoke(["classify", "--in", str(path)], capsys)
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["label"] == "GHZ"
+    if not normalize:
+        norm = result["invariants"]["norm"]
+        assert sorted(norm) == ["exp2", "mantissa"] and 0.5 <= norm["mantissa"] < 1
+        assert math.ldexp(norm["mantissa"], norm["exp2"] - 1000) == pytest.approx(
+            math.sqrt(2) * abs(amp * 2.0**-1000), rel=1e-15
+        )
+
+
+@pytest.mark.parametrize("scale", EDGE_SCALES)
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("label", ALL_LABELS, ids=lambda l: l.name)
+def test_classify_a_subnormal_or_overflowing_state_file(
+    tmp_path, capsys, label, normalize, scale
+):
+    # The norm of pattern * scale is that of pattern * m times 2**e; it is
+    # reported as a float, or as mantissa * 2**exp2 above the float range.
+    m, e = mantissa(scale)
+    psi = ec.StateTensor(pattern(label).shape, pattern(label) * scale)
+    path = tmp_path / "edge.json"
+    path.write_text(render(state_document(psi, normalize=normalize)))
+    code, out, err = invoke(["classify", "--in", str(path)], capsys)
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["label"] == label.display_name
+    norm = result["invariants"]["norm"]
+    unit_norm = ec.StateTensor(psi.dims, pattern(label) * m).norm
     if normalize:
-        assert code == 0, err
-        assert json.loads(out)["result"]["label"] == "GHZ"
+        assert norm == pytest.approx(1.0, abs=1e-15)
+    elif times_two_to(unit_norm, e) == math.inf:
+        assert 0.5 <= norm["mantissa"] < 1
+        assert math.ldexp(norm["mantissa"], norm["exp2"] - e) == pytest.approx(
+            unit_norm, rel=1e-15
+        )
     else:
-        assert (code, out) == (1, "")
-        assert err.startswith("entclass: ") and err.count("\n") == 1
+        assert norm == pytest.approx(times_two_to(unit_norm, e), rel=1e-15, abs=5e-324)
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -13,7 +13,15 @@ from entclass.errors import (
     ZeroStateError,
 )
 
-from conftest import random_invertible_op, svd_rank
+from conftest import (
+    ALL_LABELS,
+    EDGE_SCALES,
+    mantissa,
+    pattern,
+    random_invertible_op,
+    svd_rank,
+    times_two_to,
+)
 
 
 def test_make_state_ghz_unnormalized():
@@ -113,6 +121,25 @@ def test_apply_local_annihilation_is_an_error():
     keep0 = np.array([[1, 0], [0, 0]], dtype=complex)
     with pytest.raises(AnnihilationError):
         ec.apply_local(ec.LocalOperation.single_party((2, 2, 2), 0, keep0), psi)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-300, 1e-310])
+def test_apply_local_keeps_a_small_state(scale, gen):
+    # Below about 1e-154 a plain sum of squares of the output underflows to
+    # 0, which read as an annihilated state.
+    psi = ec.StateTensor((2, 2, 2), pattern("GHZ") * scale)
+    same = ec.apply_local(ec.LocalOperation.identity(psi.dims), psi)
+    assert np.array_equal(same.amplitudes, psi.amplitudes)
+    haar = ec.LocalOperation(tuple(ec.random_unitary(2, gen) for _ in range(3)))
+    assert ec.apply_local(haar, psi).norm == pytest.approx(psi.norm, rel=1e-12)
+
+
+def test_apply_local_keeps_a_large_state_under_a_large_factor():
+    # ||psi|| * prod ||M_i|| is 2e310 here, above the float range, while the
+    # output's norm is 1e300; a product of float norms read it as annihilated.
+    psi = ec.make_state((2, 2, 2), {(0, 0, 0): 1e300})
+    op = ec.LocalOperation.single_party(psi.dims, 0, np.diag([1.0, 1e10]))
+    assert ec.apply_local(op, psi).norm == 1e300
 
 
 def test_apply_local_shape_mismatch():
@@ -251,6 +278,23 @@ def test_normalize_when_the_norm_overflows(name, scale):
     assert huge.norm == math.inf
     phase = scale / scale.real / abs(scale / scale.real)
     assert huge.normalize().allclose(ec.StateTensor(psi.dims, psi.amplitudes * phase), atol=1e-15)
+
+
+@pytest.mark.parametrize("scale", EDGE_SCALES)
+@pytest.mark.parametrize("label", ALL_LABELS, ids=lambda l: l.name)
+def test_norm_and_normalize_at_the_ends_of_the_float_range(label, scale):
+    # pattern * scale is exactly pattern * m times 2**e: its norm is that
+    # state's times 2**e (inf above the float range), and it normalizes to
+    # the same bits, a subnormal largest part too.
+    m, e = mantissa(scale)
+    psi = ec.StateTensor(pattern(label).shape, pattern(label) * scale)
+    unit = ec.StateTensor(psi.dims, pattern(label) * m)
+    assert psi.norm == pytest.approx(times_two_to(unit.norm, e), rel=1e-15, abs=5e-324)
+    assert np.array_equal(psi.normalize().amplitudes, unit.normalize().amplitudes)
+    phase = m / abs(m)
+    expected = pattern(label) * phase / math.sqrt(np.count_nonzero(pattern(label)))
+    assert psi.normalize().allclose(ec.StateTensor(psi.dims, expected), atol=1e-15)
+    assert repr(psi).endswith(f"norm={psi.norm:.6g})")
 
 
 @pytest.mark.parametrize(
