@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from types import ModuleType as _ModuleType
 
 from .classify import (
-    EXPECTED_RANK_RTR,
     PartialOrder,
     classify,
     grade,
@@ -33,7 +32,6 @@ from .errors import (
     NormalizationError,
     NumericalInstabilityError,
     ProofChainError,
-    SignatureError,
     StateFileError,
     ZeroStateError,
 )

@@ -2,10 +2,11 @@
 
 Classification is a decision tree: local ranks pin seven classes, and the
 ``_DET_DECIDED`` table splits each of the two rank-degenerate signatures by
-one hyperdeterminant margin. rank(R^T R) is an independent cross-check: the
-determinant test is primary (polynomial evaluation is better conditioned
-near boundaries than rank thresholding), and a disagreement between the two
-raises, carrying both votes, rather than silently picking a side.
+one hyperdeterminant. Every branch is decided by the policy's one rule on a
+distance of the normalized state from the class boundary (a singular value
+for a rank, |Det| / ||grad Det|| for a hyperdeterminant). A distance float64
+cannot resolve, or a rank signature no 2x2xn state has, raises
+``AmbiguityError`` rather than silently picking a side.
 
 The partial order of classes under noninvertible local maps is shipped as
 an explicit edge list with one executable witness per edge: a concrete
@@ -22,22 +23,14 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import AmbiguityError, SignatureError
+from .errors import AmbiguityError
 from .invariants import InvariantReport, invariant_report
 from .labels import ClassLabel
-from .numerics import DEFAULT_POLICY, TolerancePolicy
+from .numerics import DEFAULT_POLICY, ZERO_FLOOR, TolerancePolicy
 from .tensor import LocalOperation, StateTensor, apply_local, representative
 
-#: rank(R^T R) expected for each determinant-decided class.
-EXPECTED_RANK_RTR = {
-    ClassLabel.GHZ: 2,
-    ClassLabel.W: 1,
-    ClassLabel.C223_GEN: 3,
-    ClassLabel.C223_DEG: 2,
-}
-
-#: Each signature the ranks leave open: the determinant margin that splits
-#: it, the class when that margin is positive and the class when it is not.
+#: Each signature the ranks leave open: the hyperdeterminant that splits it,
+#: the class when its distance is nonzero and the class when it is zero.
 _DET_DECIDED = {
     (2, 2, 2): ("det222", ClassLabel.GHZ, ClassLabel.W),
     (2, 2, 3): ("det223", ClassLabel.C223_GEN, ClassLabel.C223_DEG),
@@ -45,7 +38,7 @@ _DET_DECIDED = {
 
 #: Signatures that pin the class by ranks alone.
 _RANK_ONLY = {
-    label.rank_signature: label for label in ClassLabel if label not in EXPECTED_RANK_RTR
+    label.rank_signature: label for label in ClassLabel if label.rank_signature not in _DET_DECIDED
 }
 
 
@@ -54,23 +47,20 @@ def classify(
 ) -> tuple[ClassLabel, InvariantReport]:
     """Map a (2, 2, n) pure state to its class and full invariant report.
 
-    Near-boundary states are decided by the policy thresholds; the report's
-    margins record how close each decision was, so callers can detect
-    fragile classifications. There is no "unknown" label.
+    The report's distances record how far the state is from each boundary
+    decided, so callers can see fragile classifications. There is no
+    "unknown" label: an unresolved decision raises ``AmbiguityError``.
     """
     report = invariant_report(psi, policy)
     signature = report.local_ranks
     if signature in _RANK_ONLY:
         return _RANK_ONLY[signature], report
     if signature not in _DET_DECIDED:
-        raise SignatureError(signature)
+        illegal = f"local-rank signature {signature}, which no 2x2xn state has"
+        band = (ZERO_FLOOR, policy.distance_eps)
+        raise AmbiguityError(illegal, report.distances["local_ranks"], band)
     key, generic, degenerate = _DET_DECIDED[signature]
-    label = generic if report.margins[key] > 0 else degenerate
-    if report.rank_rtr != EXPECTED_RANK_RTR[label]:
-        # The rank's own vote: the class of this signature it would give.
-        votes = (c for c in (generic, degenerate) if EXPECTED_RANK_RTR[c] == report.rank_rtr)
-        raise AmbiguityError(signature, label, next(votes, None), report.rank_rtr)
-    return label, report
+    return (generic if policy.nonzero(key, report.distances[key]) else degenerate), report
 
 
 def grade(label: ClassLabel | str) -> int:

@@ -7,11 +7,10 @@ reports (sorted keys, floats at 17 significant digits, byte-stable for
 identical arguments and seed).
 
 Exit codes: 0 success, 1 usage or input error (message on stderr) or a
-failed monotone trial (report on stdout), 2 numerical ambiguity (the
-classifier's determinant and rank cross-check disagreed).
+failed monotone trial (report on stdout), 2 unresolved decision (a class-
+boundary distance inside the unresolved band, or an illegal rank signature).
 
-Environment fallbacks (flags win): ENTCLASS_RANK_EPS, ENTCLASS_DET_EPS,
-ENTCLASS_SEED.
+Environment fallbacks (flags win): ENTCLASS_DISTANCE_EPS, ENTCLASS_SEED.
 
 Party indices are 1-based on this boundary (r1, r2, r3 in reports,
 --party {1,2,3}); the library underneath is 0-based.
@@ -55,12 +54,11 @@ from .protocols import (
     distill_from_generic,
     entanglement_swap,
 )
-from .tensor import LocalOperation, StateTensor, _unit_and_norm, make_state, representative
+from .tensor import LocalOperation, StateTensor, _scaled_norm, make_state, representative
 
 SCHEMA = "entclass-report/1"
 
-ENV_RANK_EPS = "ENTCLASS_RANK_EPS"
-ENV_DET_EPS = "ENTCLASS_DET_EPS"
+ENV_DISTANCE_EPS = "ENTCLASS_DISTANCE_EPS"
 ENV_SEED = "ENTCLASS_SEED"
 
 
@@ -147,7 +145,7 @@ def _serialize_operation(op: LocalOperation | None) -> Any:
 def _serialize_invariants(report: InvariantReport, psi: StateTensor) -> dict:
     norm = report.norm
     if math.isinf(norm):  # JSON has no inf: send the norm as mantissa * 2**exp2
-        norm = dict(zip(("mantissa", "exp2"), _unit_and_norm(psi.amplitudes)[2:]))
+        norm = dict(zip(("mantissa", "exp2"), _scaled_norm(psi.amplitudes)[3:]))
     return {
         "local_ranks": list(report.local_ranks),
         "rank_rtr": report.rank_rtr,
@@ -157,7 +155,7 @@ def _serialize_invariants(report: InvariantReport, psi: StateTensor) -> dict:
         "det223": report.det223,
         "det223_abs": None if report.det223 is None else abs(report.det223),
         "norm": norm,
-        "margins": dict(report.margins),
+        "distances": dict(report.distances),
     }
 
 
@@ -270,8 +268,7 @@ def _build_parser() -> _Parser:
     ):
         p = sub.add_parser(name, help=text)
         p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--rank-eps", type=float, default=None)
-        p.add_argument("--det-eps", type=float, default=None)
+        p.add_argument("--distance-eps", type=float, default=None)
 
     p = sub.add_parser("monotone", help="seeded averaged-measure trials")
     p.add_argument("--measure", choices=sorted(MEASURES), required=True)
@@ -313,10 +310,8 @@ def _flag_or_env(flag, name: str, cast, default):
 
 
 def _policy_from(args) -> TolerancePolicy:
-    return TolerancePolicy(
-        rank_rel_eps=_flag_or_env(args.rank_eps, ENV_RANK_EPS, float, DEFAULT_POLICY.rank_rel_eps),
-        det_rel_eps=_flag_or_env(args.det_eps, ENV_DET_EPS, float, DEFAULT_POLICY.det_rel_eps),
-    )
+    eps = _flag_or_env(args.distance_eps, ENV_DISTANCE_EPS, float, DEFAULT_POLICY.distance_eps)
+    return TolerancePolicy(eps)
 
 
 def _emit(doc: Any, out=None) -> None:
@@ -456,7 +451,7 @@ def run(argv: Sequence[str]) -> int:
             return _cmd_rep(args)
         # The tolerances and the seed are read, and reported, only where a
         # subcommand has the flag for them.
-        policy = _policy_from(args) if "rank_eps" in vars(args) else None
+        policy = _policy_from(args) if "distance_eps" in vars(args) else None
         seed = _flag_or_env(args.seed, ENV_SEED, int, 0) if "seed" in vars(args) else None
         result, code = _COMMANDS[args.subcommand](args, policy, seed)
         _emit(

@@ -21,32 +21,20 @@ class NormalizationError(EntclassError, ValueError):
     """An operation requiring a unit-norm state received an unnormalized one."""
 
 
-class SignatureError(EntclassError, ArithmeticError):
-    """The computed local-rank signature is not one a 2x2xn pure state can have."""
-
-    def __init__(self, signature):
-        self.signature = tuple(signature)
-        super().__init__(f"illegal local-rank signature {self.signature}")
-
-
 class NumericalInstabilityError(EntclassError, ArithmeticError):
     """Two independent computation routes for the same quantity disagree."""
 
 
 class AmbiguityError(EntclassError):
-    """Determinant-based and rank-based class votes disagree.
+    """A class-boundary decision float64 cannot resolve: ``quantity``'s ``distance``
+    d lies in ``band`` = (zero floor, tolerance]. A local-rank signature no 2x2xn
+    state has raises it too, with the smallest kept singular value as d."""
 
-    Both votes are kept so callers can inspect how fragile the input is.
-    """
-
-    def __init__(self, signature, det_vote, rank_vote, rank_rtr):
-        self.signature = tuple(signature)
-        self.det_vote = det_vote
-        self.rank_vote = rank_vote
-        self.rank_rtr = rank_rtr
+    def __init__(self, quantity, distance, band):
+        self.quantity, self.distance, self.band = quantity, distance, tuple(band)
         super().__init__(
-            f"classification ambiguous for signature {self.signature}: "
-            f"determinant test votes {det_vote}, rank(R^T R)={rank_rtr} votes {rank_vote}"
+            f"unresolved decision on {quantity}: distance {distance:.3g}, "
+            f"unresolved band ({self.band[0]:.3g}, {self.band[1]:.3g}]"
         )
 
 

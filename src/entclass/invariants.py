@@ -8,8 +8,9 @@ parameters of a format.
 
 The hyperdeterminants are evaluated literally, term by term, so the code
 can be audited against the defining polynomials; there is no clever
-factorization. Every zero test is taken on the normalized state against
-the shared tolerance policy, which makes every decision scale-free.
+factorization. Every class-boundary decision is a distance of the
+normalized state from the boundary, decided by the shared tolerance
+policy's one rule, which makes every decision scale-free.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError, NumericalInstabilityError
-from .numerics import DEFAULT_POLICY, TolerancePolicy
+from .numerics import DEFAULT_POLICY, ZERO_FLOOR, TolerancePolicy
 from .tensor import (
     DensityMatrix,
     StateTensor,
@@ -74,14 +75,15 @@ _SIGNED_FLIP.setflags(write=False)
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Every invariant the classifier consumes, plus decision margins.
+    """Every invariant the classifier consumes, plus each decision's distance.
 
     ``local_ranks`` uses the 1-based party convention (r1, r2, r3).
     ``det222``/``det223`` are present only when the rank-adjusted format
     admits them (r3 <= 2 and r3 <= 3; ``det223`` is exactly 0 for r3 <= 2).
     Their phases depend on the Clare rotation, so only moduli are contractual.
-    ``margins`` maps each thresholded decision to its signed distance from
-    the threshold (positive = comfortably decided).
+    ``distances`` maps each class-boundary decision to the normalized state's
+    distance from it: ``local_ranks`` to the smallest kept singular value of
+    the unfoldings, ``det222``/``det223`` to |Det| / ||grad Det||.
     """
 
     local_ranks: tuple[int, int, int]
@@ -91,7 +93,7 @@ class InvariantReport:
     det223: complex | None
     norm: float
     tolerances: TolerancePolicy
-    margins: dict[str, float]
+    distances: dict[str, float]
 
 
 class CkwReport(NamedTuple):
@@ -159,30 +161,19 @@ def _qubit_spectrum(gram) -> tuple[float, float]:
     return (p * q - b * b) / top, top
 
 
-def _rank(svals, threshold: float) -> tuple[int, float]:
-    """The count of descending ``svals`` above ``threshold``, and its margin:
-    the smaller gap to the smallest kept and to the largest dropped value."""
-    rank = 0
-    for x in svals:
-        rank += x > threshold
-    kept = svals[rank - 1] - threshold if rank else math.inf
-    return rank, min(kept, threshold - svals[rank]) if rank < len(svals) else kept
-
-
 def _local_spectra(amps: np.ndarray, policy: TolerancePolicy):
-    """Local ranks of a normalized (2, 2, n) amplitude array, their smallest
-    margin, and the reduced SVD (u, s) of the flattened state (the transpose
-    of Clare's unfolding). Alice's and Bob's unfoldings share one SVD.
+    """Local ranks of a normalized (2, 2, n) amplitude array (the count of
+    each unfolding's descending singular values the policy decides nonzero),
+    the smallest singular value they keep, and the reduced SVD (u, s) of the
+    flattened state (the transpose of Clare's unfolding). Alice's and Bob's
+    unfoldings share one SVD.
 
     Each rank is checked against the eigenvalues lambda of the party's k x k
     reduced density: closed form for each 2x2 density (Alice's, Bob's, and
-    Clare's at n = 2), eigvalsh for Clare's at any other n. They meet the
-    squared threshold t^2 but are exact only to delta = 8 k eps lambda_0 >
-    t^2, so the rank must lie in [#{lambda > t^2 + delta}, #{lambda > t^2 -
-    delta}]. At the default policy t^2 < delta for every n up to 16 (1.6e-17
-    against 3.5e-15 lambda_0 for a 2x4 unfolding), so the upper count is
-    always k and the check is a lower bound on the rank. It is two-sided
-    only when rank_rel_eps exceeds sqrt(8 k eps) / max_dim."""
+    Clare's at n = 2), eigvalsh for Clare's at any other n. Exact to delta =
+    8 k eps lambda_0, they bound the rank below by #{lambda > t^2 + delta} for
+    the tolerance t; no upper count could fire, as unit trace gives lambda_0
+    >= 1/k, so delta >= 8 eps > t^2 for every allowed t <= 1e-8."""
     f = amps.reshape(4, -1)
     u, s, _ = np.linalg.svd(f, full_matrices=False)
     pair = np.concatenate((amps, amps.transpose(1, 0, 2))).reshape(2, 2, -1)
@@ -191,40 +182,34 @@ def _local_spectra(amps: np.ndarray, policy: TolerancePolicy):
     rho = f.T @ f.conj()  # Clare's reduced density, transposed
     clare = _qubit_spectrum(rho.tolist()) if len(rho) == 2 else np.linalg.eigvalsh(rho).tolist()
     density = [*map(_qubit_spectrum, grams), clare]
-    ranks, margin = [], math.inf
+    thr_sq = policy.distance_eps**2
+    ranks, kept = [], math.inf
     for party, (svals, eigs) in enumerate(zip(singular, density)):
-        k = len(eigs)  # the unfolding is k x (4n / k)
-        thr = policy.rank_threshold(svals[0], max(k, f.size // k))
-        rank, rank_margin = _rank(svals, thr)
-        thr_sq, delta = thr * thr, 8 * k * _EPS * eigs[-1]
-        low = high = 0
+        rank, low, k = 0, 0, len(eigs)
+        while rank < len(svals) and policy.nonzero(f"local rank r{party + 1}", svals[rank]):
+            rank += 1
+        delta = 8 * k * _EPS * eigs[-1]
         for e in eigs:
             low += e > thr_sq + delta
-            high += e > thr_sq - delta
-        if not low <= rank <= high:
+        if rank < low:
             raise NumericalInstabilityError(
                 f"party {party}: unfolding rank {rank} outside the density band "
-                f"[{low}, {high}] (threshold {thr_sq:.3g} +- {delta:.3g})"
+                f"[{low}, {k}] (threshold {thr_sq:.3g} + {delta:.3g})"
             )
         ranks.append(rank)
-        margin = min(margin, rank_margin)
-    return tuple(ranks), margin, u, s
+        kept = min(kept, svals[rank - 1])  # s_max >= 1/2 of a unit state: rank >= 1
+    return tuple(ranks), kept, u, s
 
 
 def _rank_rtr(f: np.ndarray, policy: TolerancePolicy):
-    """Rank, descending singular values and rank margin of R^T R for the
-    flattened 4xn amplitude matrix ``f`` of a normalized state.
+    """Rank (the count above the policy's tolerance; it decides no class) and
+    descending singular values of R^T R for the flattened 4xn amplitude
+    matrix ``f`` of a normalized state.
 
     R^T R is computed both from the magic-basis image and directly as the
     spin-flip bilinear form on ``f``; the two n x n matrices must agree (up
     to the sign fixed at import), else the call fails rather than return a
     silently unstable invariant.
-
-    The rank threshold is taken relative to the squared state norm (1 here),
-    the natural scale of this quadratic invariant (it bounds every singular
-    value of R^T R). Thresholding against the matrix's own largest singular
-    value would promote pure matmul roundoff to full rank whenever the form
-    vanishes identically, as it does on the biseparable classes.
     """
     r = MAGIC_BASIS @ f
     via_magic = r.T @ r
@@ -235,8 +220,33 @@ def _rank_rtr(f: np.ndarray, policy: TolerancePolicy):
             f"{deviation:.3g} exceeds the bound 1e-10"
         )
     svals = np.linalg.svd(via_magic, compute_uv=False).tolist()
-    rank, margin = _rank(svals, policy.rank_threshold(1.0, len(svals)))
-    return rank, tuple(svals), margin
+    return sum(x > policy.distance_eps for x in svals), tuple(svals)
+
+
+def _det_distance(cols, s) -> tuple[complex, float]:
+    """``(Det, d)`` of the rank-adjusted 4 x r state F, r = 2 or 3, given as
+    its columns U[:, j] s[j]: with A = F^T S F and S = BILINEAR_SIGN * SPIN_FLIP,
+    Det222 = -det A, Det223 = -det A / 2 and d = |det A| / ||2 S F adj(A)||, the
+    first-order distance to Det = 0 (0/0 counts as 0). S is orthogonal and
+    F^H F = diag(s^2), so the norm is 2 sqrt(sum_jk s_j^2 |adj(A)_jk|^2)."""
+
+    def form(x, y):  # x^T SPIN_FLIP y on Python numbers
+        return x[0] * y[3] + x[3] * y[0] - x[1] * y[2] - x[2] * y[1]
+
+    if len(cols) == 2:
+        x, y = cols
+        a, b, c = form(x, x), form(x, y), form(y, y)
+        det = a * c - b * b  # BILINEAR_SIGN**2 = 1
+        bb = abs(b) ** 2  # adj(A) = [[c, -b], [-b, a]]
+        grad = s[0] ** 2 * (abs(c) ** 2 + bb) + s[1] ** 2 * (bb + abs(a) ** 2)
+    else:
+        x, y, z = cols
+        a, b, c, d, e, f = form(x, x), form(x, y), form(x, z), form(y, y), form(y, z), form(z, z)
+        ce_bf, be_cd, bc_ae = c * e - b * f, b * e - c * d, b * c - a * e
+        adj = ((d * f - e * e, ce_bf, be_cd), (ce_bf, a * f - c * c, bc_ae), (be_cd, bc_ae, a * d - b * b))
+        det = BILINEAR_SIGN * (a * adj[0][0] + b * ce_bf + c * be_cd)
+        grad = sum(sj * sj * (abs(p) ** 2 + abs(q) ** 2 + abs(r) ** 2) for sj, (p, q, r) in zip(s, adj))
+    return -det / (len(cols) - 1), abs(det) / (2 * math.sqrt(grad)) if grad else 0.0
 
 
 def det222(psi: StateTensor) -> complex:
@@ -366,23 +376,32 @@ def invariant_report(
     changes only ``norm``, the original 2-norm (inf above the float range).
     The SVD F = U diag(s) V^dagger of the flattened state gives Clare's rank
     r3 and, via her unitary V^T, the rank-adjusted state U[:, :r3] diag(s[:r3])
-    zero-padded to 2 or 3 levels, on which the determinants are evaluated.
+    zero-padded to 2 or 3 levels, on which the determinants are evaluated,
+    literally and by ``_det_distance``: routes further apart than ZERO_FLOOR
+    raise NumericalInstabilityError.
     """
     _require_format(psi)
-    amps, norm = _unit_and_norm(psi.amplitudes)[:2]
-    ranks, local_margin, u, s = _local_spectra(amps, policy)
-    rank_rtr, svals_rtr, rtr_margin = _rank_rtr(amps.reshape(4, -1), policy)
-    margins = {"local_ranks": local_margin, "rank_rtr": rtr_margin}
+    amps, norm = _unit_and_norm(psi.amplitudes)
+    ranks, kept, u, s = _local_spectra(amps, policy)
+    rank_rtr, svals_rtr = _rank_rtr(amps.reshape(4, -1), policy)
+    distances = {"local_ranks": kept}
     # Adjusted states have unit norm, up to the dropped sub-threshold weight.
     r3 = ranks[2]
     det222_val = det223_val = None
-    if r3 <= 2:
-        pad = [0j] * (2 - r3)
-        det222_val = _det222([x for row in (u[:, :r3] * s[:r3]).tolist() for x in row + pad])
-        margins["det222"] = abs(det222_val) - policy.det_rel_eps
     if r3 <= 3:
-        det223_val = complex(_det223((u[:, :3] * s[:3]).reshape(2, 2, 3))) if r3 == 3 else 0j
-        margins["det223"] = abs(det223_val) - policy.det_rel_eps
+        f, weights = u[:, :r3] * s[:r3], s.tolist()[:r3] + [0.0] * (2 - r3)
+        if r3 <= 2:
+            p = [x for row in f.tolist() for x in row + [0j] * (2 - r3)]
+            route, distances["det222"] = _det_distance((p[0::2], p[1::2]), weights)
+            literal = det222_val = _det222(p)
+            det223_val, distances["det223"] = 0j, 0.0
+        else:
+            route, distances["det223"] = _det_distance(f.T.tolist(), weights)
+            literal = det223_val = complex(_det223(f.reshape(2, 2, 3)))
+        if abs(literal - route) > ZERO_FLOOR:
+            raise NumericalInstabilityError(
+                f"literal Det{'222' if r3 <= 2 else '223'} {literal:.6g} and its -det A route "
+                f"{route:.6g} differ by {abs(literal - route):.3g}, above the bound {ZERO_FLOOR:.3g}")
     return InvariantReport(
-        ranks, rank_rtr, svals_rtr, det222_val, det223_val, norm, policy, margins
+        ranks, rank_rtr, svals_rtr, det222_val, det223_val, norm, policy, distances
     )

@@ -1,8 +1,8 @@
 """The tolerance policy and seeded random sampling.
 
-Every rank and zero decision in the library flows through a shared
-TolerancePolicy: class boundaries are exactly the loci where tolerances
-bite, so a single knob keeps misclassification reproducible and tunable.
+Every class boundary is decided by one rule on the normalized state's
+distance d from it, through a shared TolerancePolicy: d above its one
+tolerance is nonzero, d at most 64 eps is zero, and a d between is unresolved.
 Random sampling (states, special-linear and unitary factors) is driven by
 a pinned counter-based generator with explicit substreams, so any trial
 can be replayed from its (seed, stream) pair alone.
@@ -21,31 +21,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import AmbiguityError, FormatError
 from .tensor import MAX_LEVELS, StateTensor
+
+
+#: Distances at most this are zero: a few roundoffs of a unit-norm state.
+ZERO_FLOOR = 64 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Thresholds for treating computed quantities as zero.
+    """distance_eps, in (ZERO_FLOOR, 1e-8]: the one tolerance of every
+    class-boundary decision."""
 
-    rank_rel_eps: singular values below rank_rel_eps * s_max * max_dim count
-        as zero when ranks are taken.
-    det_rel_eps: a determinant-type invariant of the normalized state counts
-        as zero below det_rel_eps, which makes the test scale-free.
-    """
-
-    rank_rel_eps: float = 1e-9
-    det_rel_eps: float = 1e-10
+    distance_eps: float = 1e-13
 
     def __post_init__(self):
-        for name in ("rank_rel_eps", "det_rel_eps"):
-            value = getattr(self, name)
-            if not (0.0 < value < 1e-3):
-                raise ValueError(f"{name} must lie in (0, 1e-3), got {value}")
+        if not ZERO_FLOOR < self.distance_eps <= 1e-8:
+            raise ValueError(
+                f"distance_eps must lie in ({ZERO_FLOOR:.3g}, 1e-8], got {self.distance_eps}"
+            )
 
-    def rank_threshold(self, s_max: float, max_dim: int) -> float:
-        return self.rank_rel_eps * s_max * max_dim
+    def nonzero(self, quantity: str, distance: float) -> bool:
+        """Whether ``quantity``, ``distance`` from its class boundary, is nonzero;
+        AmbiguityError when float64 cannot tell."""
+        if distance > self.distance_eps:
+            return True
+        if distance <= ZERO_FLOOR:
+            return False
+        raise AmbiguityError(quantity, distance, (ZERO_FLOOR, self.distance_eps))
 
 
 DEFAULT_POLICY = TolerancePolicy()

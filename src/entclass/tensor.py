@@ -65,18 +65,24 @@ def _is_invertible(matrix: np.ndarray) -> bool:
     return bool(svals[-1] > _INVERTIBLE_REL_EPS * svals[0] * rows)
 
 
-def _unit_and_norm(amplitudes: np.ndarray) -> tuple[np.ndarray, float, float, int]:
-    """``(unit, norm, m, e)``: C-contiguous complex amplitudes over their 2-norm,
-    the norm (inf above the float range) and the norm as ``m * 2**e``, 0.5 <= m < 1.
-    One exact power-of-two scaling first puts the largest real or imaginary part
-    in [0.5, 1), so no sum of squares over- or underflows, for subnormal parts too."""
+def _scaled_norm(amplitudes: np.ndarray) -> tuple[np.ndarray, float, float, float, int]:
+    """``(scaled, rest, norm, m, e)``: the C-contiguous complex amplitudes times the
+    power of two putting their largest real or imaginary part in [0.5, 1) (no sum of
+    squares over- or underflows, for subnormal parts too), its 2-norm, and the 2-norm
+    of the amplitudes: a float (inf above the range) and ``m * 2**e``, 0.5 <= m < 1."""
     parts = amplitudes.view(float)
     e = math.frexp(float(np.abs(parts).max()))[1]
     scaled = np.ldexp(parts, -e).view(complex)
     rest = float(np.linalg.norm(scaled))
     m, shift = math.frexp(rest)
     e += shift
-    return scaled / rest, math.ldexp(m, e) if e <= 1024 else math.inf, m, e
+    return scaled, rest, math.ldexp(m, e) if e <= 1024 else math.inf, m, e
+
+
+def _unit_and_norm(amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(unit, norm)``: the amplitudes over their 2-norm, and the norm."""
+    scaled, rest, norm = _scaled_norm(amplitudes)[:3]
+    return scaled / rest, norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +124,7 @@ class StateTensor:
     @property
     def norm(self) -> float:
         """The 2-norm of the amplitudes; inf only where it is above the float range."""
-        return _unit_and_norm(self.amplitudes)[1]
+        return _scaled_norm(self.amplitudes)[2]
 
     # The norm is squared by multiplication: a huge norm gives inf, where
     # ``**`` would raise OverflowError.
@@ -321,9 +327,9 @@ def apply_local(operation: LocalOperation, psi: StateTensor) -> StateTensor:
         raise AnnihilationError("local operation annihilated the state")
     result = StateTensor(out.shape, out)
     # ||out|| <= 1e-14 ||psi|| prod ||M_i||_F, as m * 2**e: no product overflows.
-    m, e = _unit_and_norm(result.amplitudes)[2:]
+    m, e = _scaled_norm(result.amplitudes)[3:]
     for a in (psi.amplitudes, *operation.factors):
-        m_a, e_a = _unit_and_norm(a)[2:]
+        m_a, e_a = _scaled_norm(a)[3:]
         m, e = m / m_a, e - e_a
     if math.ldexp(m, e) <= 1e-14:
         raise AnnihilationError("local operation annihilated the state")

@@ -42,11 +42,12 @@ def times_two_to(x: float, e: int) -> float:
 
 
 def svd_rank(m, policy=ec.DEFAULT_POLICY) -> int:
-    """Count of singular values of ``m`` above the policy's rank threshold."""
+    """Count of singular values of ``m`` / ||m|| above the policy's tolerance,
+    the rank the library takes on a normalized state."""
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > policy.rank_threshold(float(s[0]), max(m.shape))))
+    return int(np.count_nonzero(s / np.linalg.norm(s) > policy.distance_eps))
 
 
 def compress_clare(psi, target) -> ec.StateTensor:

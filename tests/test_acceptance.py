@@ -59,11 +59,11 @@ def test_criterion_1_classification_table():
         if det223_zero is None:
             assert inv.det223 is None
         else:
-            assert (inv.margins["det223"] <= 0) == det223_zero, f"{name}: det223"
+            assert ec.DEFAULT_POLICY.nonzero("det223", inv.distances["det223"]) != det223_zero, name
         if det222_zero is None:
             assert inv.det222 is None
         else:
-            assert (inv.margins["det222"] <= 0) == det222_zero, f"{name}: det222"
+            assert ec.DEFAULT_POLICY.nonzero("det222", inv.distances["det222"]) != det222_zero, name
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"table reproduction took {elapsed:.2f}s"
     report(1, f"all nine representatives reproduce the table exactly ({elapsed:.3f}s)")

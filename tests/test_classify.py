@@ -14,7 +14,8 @@ import pytest
 import entclass as ec
 from entclass import cli, labels
 from entclass.classify import partial_order
-from entclass.errors import AmbiguityError, SignatureError
+from entclass.errors import AmbiguityError
+from entclass.numerics import ZERO_FLOOR
 
 from conftest import (
     ALL_LABELS,
@@ -53,11 +54,11 @@ def test_representatives_reproduce_classification_table(name):
     if det223_zero is None:
         assert report.det223 is None
     else:
-        assert (report.margins["det223"] <= 0) == det223_zero
+        assert ec.DEFAULT_POLICY.nonzero("det223", report.distances["det223"]) != det223_zero
     if det222_zero is None:
         assert report.det222 is None
     else:
-        assert (report.margins["det222"] <= 0) == det222_zero
+        assert ec.DEFAULT_POLICY.nonzero("det222", report.distances["det222"]) != det222_zero
 
 
 def test_classify_three_term_ghz_pattern():
@@ -86,9 +87,51 @@ def test_min_clare_dim_is_the_clare_rank(label):
     assert label.min_clare_dim == ec.invariant_report(psi).local_ranks[2]
 
 
-def test_illegal_signature_rejected():
-    with pytest.raises(SignatureError, match=r"1, 2, 1"):
-        raise SignatureError((1, 2, 1))
+def test_illegal_signature_rejected(monkeypatch):
+    # A signature no 2x2xn state has is an unresolved decision, not a label:
+    # the error carries the smallest kept singular value and the band.
+    report = ec.InvariantReport(
+        (1, 2, 1), 0, (), None, None, 1.0, ec.DEFAULT_POLICY, {"local_ranks": 0.25}
+    )
+    module = importlib.import_module("entclass.classify")
+    monkeypatch.setattr(module, "invariant_report", lambda psi, policy: report)
+    with pytest.raises(AmbiguityError, match=r"signature \(1, 2, 1\)") as err:
+        ec.classify(rep("GHZ"))
+    assert (err.value.distance, err.value.band) == (0.25, (ZERO_FLOOR, 1e-13))
+
+
+W_PATTERN = {(0, 0, 1): 1, (0, 1, 0): 1, (1, 0, 0): 1}
+C223_DEG_PATTERN = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 1, 2): 1}
+
+
+@pytest.mark.parametrize(
+    "quantity,dims,entries,distance",
+    [
+        ("local rank r1", (2, 2, 2), {(0, 0, 0): 1, (1, 1, 1): 5e-14}, 5e-14),
+        ("det222", (2, 2, 2), {**W_PATTERN, (1, 1, 1): 5e-14}, 5e-14 / math.sqrt(3)),
+        ("det223", (2, 2, 3), {**C223_DEG_PATTERN, (1, 0, 1): 5e-14}, 5e-14 / math.sqrt(3)),
+    ],
+)
+def test_unresolved_decision_carries_its_numbers(quantity, dims, entries, distance):
+    # A distance between the zero floor and the tolerance is unresolved; the
+    # error names the decision and carries its distance and the band.
+    with pytest.raises(AmbiguityError) as err:
+        ec.classify(ec.make_state(dims, entries))
+    assert (err.value.quantity, err.value.band) == (quantity, (ZERO_FLOOR, 1e-13))
+    assert err.value.distance == pytest.approx(distance, rel=1e-6)
+    assert f"distance {err.value.distance:.3g}, unresolved band (1.42e-14, 1e-13]" in str(err.value)
+
+
+@pytest.mark.parametrize("label,key", [("W", "det222"), ("C223_DEG", "det223"), ("B1", "det222")])
+def test_exact_degenerate_states_decide_zero(label, key):
+    # |Det| / ||grad Det|| is at most the zero floor and never NaN. B1's
+    # form A = F^T S F vanishes, so its det222 distance is 0/0, counted as 0.
+    got, report = ec.classify(rep(label))
+    assert got.name == label
+    assert 0.0 <= report.distances[key] <= ZERO_FLOOR
+    assert not ec.DEFAULT_POLICY.nonzero(key, report.distances[key])
+    if label == "B1":
+        assert report.distances[key] == 0.0
 
 
 #: What ``classify`` does on each synthetic report; see ``decision_rule_table``.
@@ -99,26 +142,27 @@ def decision_rule_table(monkeypatch) -> dict[str, str]:
     """What ``classify`` returns or raises for each synthetic report.
 
     Every signature in {1,2} x {1,2} x {1,...,4}, plus a few no 2x2xn state
-    has, crossed with rank(R^T R) in 0..4 and determinant margins of +1e-3,
-    0.0 and -1e-3. A report carries the margins ``invariant_report`` would:
-    det222 (with det223 of the opposite sign) when r3 <= 2, det223 when
-    r3 = 3, so reading the wrong one changes the row.
+    has, crossed with determinant distances at and beside both band edges
+    (the zero floor 64 eps and the tolerance 1e-13), 0 and 1e-3. A report
+    carries the distances ``invariant_report`` would: det222 (with a det223
+    of 0) when r3 <= 2, det223 when r3 = 3, so reading the wrong one
+    changes the row.
     """
     signatures = list(itertools.product((1, 2), (1, 2), (1, 2, 3, 4)))
     signatures += [(0, 0, 0), (2, 2, 0), (2, 2, 5), (3, 2, 2)]
     # ``entclass.classify`` is the function; the module is imported by name.
     module = importlib.import_module("entclass.classify")
     table = {}
-    for signature, rank_rtr, det in itertools.product(
-        signatures, range(5), (1e-3, 0.0, -1e-3)
-    ):
-        margins = {"local_ranks": 0.5, "rank_rtr": 0.5}
+    tau = ec.DEFAULT_POLICY.distance_eps
+    edges = (ZERO_FLOOR, math.nextafter(ZERO_FLOOR, 1), tau, math.nextafter(tau, 1))
+    for signature, det in itertools.product(signatures, (0.0, *edges, 1e-3)):
+        distances = {"local_ranks": 0.5}
         if signature[2] <= 2:
-            margins.update(det222=det, det223=-det)
+            distances.update(det222=det, det223=0.0)
         elif signature[2] == 3:
-            margins["det223"] = det
+            distances["det223"] = det
         report = ec.InvariantReport(
-            signature, rank_rtr, (), None, None, 1.0, ec.DEFAULT_POLICY, margins
+            signature, 0, (), None, None, 1.0, ec.DEFAULT_POLICY, distances
         )
         monkeypatch.setattr(module, "invariant_report", lambda psi, policy: report)
         try:
@@ -126,11 +170,9 @@ def decision_rule_table(monkeypatch) -> dict[str, str]:
             assert got is report
             outcome = f"label {label.name}"
         except AmbiguityError as err:
-            votes = (err.signature, err.det_vote, err.rank_vote, err.rank_rtr)
-            outcome = f"AmbiguityError {votes!r}: {err}"
-        except SignatureError as err:
-            outcome = f"SignatureError {err.signature!r}: {err}"
-        table[f"{signature} rank_rtr={rank_rtr} det={det:+g}"] = outcome
+            fields = (err.quantity, err.distance, err.band)
+            outcome = f"AmbiguityError {fields!r}: {err}"
+        table[f"{signature} det={det!r}"] = outcome
     return table
 
 

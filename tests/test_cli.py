@@ -263,17 +263,20 @@ def test_order_dump_rejects_from_and_to(capsys, extra):
 
 
 def test_cli_ambiguity_exits_two(tmp_path, capsys, monkeypatch):
-    # Exit code 2 is reserved for the classifier's det/rank disagreement.
+    # Exit code 2 is reserved for an unresolved class-boundary decision.
     from entclass.errors import AmbiguityError
 
     def always_ambiguous(psi, policy):
-        raise AmbiguityError((2, 2, 2), ec.ClassLabel.GHZ, ec.ClassLabel.W, 1)
+        raise AmbiguityError("det222", 5e-14, (1.4e-14, 1e-13))
 
     monkeypatch.setattr("entclass.cli.classify", always_ambiguous)
     path = write_state(tmp_path, ec.representative("GHZ", 2))
     code, _, err = invoke(["classify", "--in", path], capsys)
     assert code == 2
-    assert "ambiguous" in err
+    assert err == (
+        "entclass: unresolved decision on det222: distance 5e-14, "
+        "unresolved band (1.4e-14, 1e-13]\n"
+    )
 
 
 def test_invariants_subcommand(tmp_path, capsys):
@@ -393,23 +396,20 @@ def test_monotone_reports_failures_with_exit_one(capsys):
 
 def test_env_overrides(tmp_path, capsys, monkeypatch):
     path = write_state(tmp_path, ec.representative("GHZ", 2))
-    monkeypatch.setenv("ENTCLASS_RANK_EPS", "1e-7")
-    monkeypatch.setenv("ENTCLASS_DET_EPS", "1e-8")
+    monkeypatch.setenv("ENTCLASS_DISTANCE_EPS", "1e-12")
     code, out, err = invoke(["classify", "--in", path], capsys)
     assert code == 0, err
-    doc = json.loads(out)
-    assert doc["tolerances"]["rank_rel_eps"] == pytest.approx(1e-7)
-    assert doc["tolerances"]["det_rel_eps"] == pytest.approx(1e-8)
+    assert json.loads(out)["tolerances"] == {"distance_eps": 1e-12}
     # flags win over the environment
-    code, out, _ = invoke(["classify", "--in", path, "--rank-eps", "1e-6"], capsys)
-    assert json.loads(out)["tolerances"]["rank_rel_eps"] == pytest.approx(1e-6)
+    code, out, _ = invoke(["classify", "--in", path, "--distance-eps", "1e-11"], capsys)
+    assert json.loads(out)["tolerances"] == {"distance_eps": 1e-11}
     monkeypatch.setenv("ENTCLASS_SEED", "55")
     code, out, _ = invoke(["monotone", "--measure", "det222", "--trials", "50"], capsys)
     assert json.loads(out)["seed"] == 55
     # A malformed value is a usage error that names the variable and the value.
     for name, value, kind, argv in (
-        ("ENTCLASS_RANK_EPS", "abc", "float", ["classify", "--in", path]),
-        ("ENTCLASS_DET_EPS", "1e-x", "float", ["invariants", "--in", path]),
+        ("ENTCLASS_DISTANCE_EPS", "abc", "float", ["classify", "--in", path]),
+        ("ENTCLASS_DISTANCE_EPS", "1e-x", "float", ["invariants", "--in", path]),
         ("ENTCLASS_SEED", "x7", "int", ["monotone", "--measure", "det222", "--trials", "5"]),
     ):
         with monkeypatch.context() as env:
@@ -437,24 +437,24 @@ def test_cached_parser_carries_no_state_between_requests(tmp_path, capsys, monke
     assert cli._build_parser() is cli._build_parser()
     path = write_state(tmp_path, ec.representative("C223_GEN", 3))
     argv = ["classify", "--in", path]
-    monkeypatch.delenv("ENTCLASS_RANK_EPS", raising=False)
+    monkeypatch.delenv("ENTCLASS_DISTANCE_EPS", raising=False)
     assert invoke(["order", "--from", "GHZ"], capsys)[0] == 1
     assert invoke(["--help"], capsys)[0] == 0
     code, plain, err = invoke(argv, capsys)
     assert code == 0, err
-    monkeypatch.setenv("ENTCLASS_RANK_EPS", "1e-7")
+    monkeypatch.setenv("ENTCLASS_DISTANCE_EPS", "1e-12")
     code, from_env, err = invoke(argv, capsys)
     assert code == 0, err
-    code, from_flag, err = invoke(argv + ["--rank-eps", "1e-6"], capsys)
+    code, from_flag, err = invoke(argv + ["--distance-eps", "1e-11"], capsys)
     assert code == 0, err
-    monkeypatch.delenv("ENTCLASS_RANK_EPS")
+    monkeypatch.delenv("ENTCLASS_DISTANCE_EPS")
     assert invoke(argv, capsys) == (0, plain, "")
     reports = [json.loads(text) for text in (plain, from_env, from_flag)]
-    assert [r["tolerances"]["rank_rel_eps"] for r in reports] == [1e-9, 1e-7, 1e-6]
-    # Apart from the tolerances, only the margins, which are measured from
-    # the thresholds the tolerances set, tell the two plain requests apart.
+    assert [r["tolerances"]["distance_eps"] for r in reports] == [1e-13, 1e-12, 1e-11]
+    # Distances do not depend on the tolerance: only the tolerances tell
+    # the two plain requests apart.
     for r in reports[:2]:
-        del r["tolerances"], r["result"]["invariants"]["margins"]
+        del r["tolerances"]
     assert reports[0] == reports[1]
 
 
@@ -557,7 +557,7 @@ def test_rep_stdout_pipes_into_classify(capsys, tmp_path, monkeypatch):
     ids=lambda argv: argv[0],
 )
 def test_tolerances_reported_only_where_used(argv, capsys, monkeypatch):
-    monkeypatch.setenv("ENTCLASS_RANK_EPS", "1e-7")
+    monkeypatch.setenv("ENTCLASS_DISTANCE_EPS", "1e-12")
     code, out, err = invoke(argv, capsys)
     assert code == 0, err
     assert json.loads(out)["tolerances"] is None
@@ -603,7 +603,7 @@ def report_digests(tmp_dir: str) -> dict[str, str]:
 def test_reports_match_parent_digests(tmp_path, monkeypatch):
     # Refactors keep every report byte-identical; a deliberate change to a
     # report regenerates cli_report_digests.json and says so in CHANGES.md.
-    for name in ("ENTCLASS_RANK_EPS", "ENTCLASS_DET_EPS", "ENTCLASS_SEED"):
+    for name in ("ENTCLASS_DISTANCE_EPS", "ENTCLASS_SEED"):
         monkeypatch.delenv(name, raising=False)
     got = report_digests(str(tmp_path))
     assert sorted(got) == sorted(DIGESTS)

@@ -11,13 +11,12 @@ from conftest import svd_rank
 
 
 def test_policy_defaults_and_validation():
-    policy = ec.TolerancePolicy()
-    assert policy.rank_rel_eps == 1e-9
-    assert policy.det_rel_eps == 1e-10
-    with pytest.raises(ValueError):
-        ec.TolerancePolicy(rank_rel_eps=0.0)
-    with pytest.raises(ValueError):
-        ec.TolerancePolicy(det_rel_eps=1e-2)
+    # One settable tolerance, in (64 eps, 1e-8].
+    assert vars(ec.TolerancePolicy()) == {"distance_eps": 1e-13}
+    assert ec.TolerancePolicy(1e-8).distance_eps == 1e-8
+    for bad in (0.0, 64 * np.finfo(float).eps, 1.1e-8, 1e-3):
+        with pytest.raises(ValueError, match="distance_eps must lie in"):
+            ec.TolerancePolicy(distance_eps=bad)
 
 
 def test_numerical_rank_outer_product(gen):

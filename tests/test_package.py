@@ -1,6 +1,8 @@
 """The package's export list and the hygiene of its modules."""
 
 import ast
+import dataclasses
+import sys
 import types
 from pathlib import Path
 
@@ -26,8 +28,15 @@ def test_pre_pipeline_helpers_are_gone():
         "DET_DEGREES",
         "RNG_ALGORITHM",
         "MAX_MATRIX_DIM",
+        "EXPECTED_RANK_RTR",
+        "SignatureError",
     ):
         assert not hasattr(ec, name), name
+    # One decision rule: the rank(R^T R) vote and the second tolerance are gone.
+    assert not hasattr(sys.modules["entclass.classify"], "EXPECTED_RANK_RTR")
+    assert not hasattr(ec.errors, "SignatureError")
+    assert not hasattr(ec.TolerancePolicy, "rank_threshold")
+    assert [f.name for f in dataclasses.fields(ec.TolerancePolicy)] == ["distance_eps"]
     # invariant_report is the one entry to the invariants.
     for name in ("local_ranks", "rank_rtr", "RtrResult", "r_matrix", "flatten", "unflatten"):
         for module in (ec, ec.invariants, ec.tensor):

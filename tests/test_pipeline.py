@@ -63,11 +63,27 @@ def dressed_states(count_per_class, seed, max_cond=10.0):
             yield label, ec.apply_local(ec.LocalOperation(factors), psi)
 
 
+def det_distance(psi):
+    """|Det| / ||grad Det|| of a 2x2xr state, r = 2 or 3, from A = F^T S F
+    with S = BILINEAR_SIGN * SPIN_FLIP, the adjugate by cofactors and the
+    gradient 2 S F adj(A) as matrices."""
+    f = psi.amplitudes.reshape(4, -1)
+    s = ec.BILINEAR_SIGN * ec.SPIN_FLIP
+    a = f.T @ s @ f
+    r = len(a)
+    adj = np.array([
+        [(-1) ** (i + j) * np.linalg.det(np.delete(np.delete(a, j, 0), i, 1)) for j in range(r)]
+        for i in range(r)
+    ])
+    grad = np.linalg.norm(2 * s @ f @ adj)
+    return abs(np.linalg.det(a)) / grad if grad else 0.0
+
+
 def reference_invariants(psi):
-    """Ranks, rank(R^T R) and hyperdeterminants the way the library computed
-    them before the one-SVD pipeline: one thresholded SVD per unfolding,
-    R^T R from the magic basis, and the determinants on the state with
-    Clare's support compressed to 2 or 3 levels."""
+    """Ranks, rank(R^T R) and hyperdeterminants by a route apart from the
+    one-SVD pipeline: one SVD per unfolding, R^T R from the magic basis, and
+    the determinants and their distances on the state with Clare's support
+    compressed to 2 or 3 levels."""
     psi = psi.normalize()
     ranks = tuple(
         svd_rank(np.moveaxis(psi.amplitudes, p, 0).reshape(k, -1), POLICY)
@@ -76,15 +92,14 @@ def reference_invariants(psi):
     f = psi.amplitudes.reshape(4, -1)
     r = MAGIC_BASIS @ f
     svals = np.linalg.svd(r.T @ r, compute_uv=False)
-    thr = POLICY.rank_threshold(float(np.linalg.norm(f)) ** 2, f.shape[1])
-    rank_rtr = int(np.count_nonzero(svals > thr))
+    rank_rtr = int(np.count_nonzero(svals > POLICY.distance_eps))
     det222 = ec.det222(compress_clare(psi, 2)) if ranks[2] <= 2 else None
     det223 = ec.det223(compress_clare(psi, 3)) if ranks[2] <= 3 else None
     if ranks == (2, 2, 2):
-        generic = abs(det222) > POLICY.det_rel_eps
+        generic = det_distance(compress_clare(psi, 2)) > POLICY.distance_eps
         label = ec.ClassLabel.GHZ if generic else ec.ClassLabel.W
     elif ranks == (2, 2, 3):
-        generic = abs(det223) > POLICY.det_rel_eps
+        generic = det_distance(compress_clare(psi, 3)) > POLICY.distance_eps
         label = ec.ClassLabel.C223_GEN if generic else ec.ClassLabel.C223_DEG
     else:
         label = next(lab for lab in ALL_LABELS if lab.rank_signature == ranks)
