@@ -14,7 +14,8 @@ boundary translate to the 1-based convention (r1, r2, r3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,7 +40,7 @@ def _as_factor(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2:
         raise FormatError(f"local factor must be a matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise FormatError("local factor contains non-finite entries")
     m = m.copy()
     m.setflags(write=False)
@@ -108,9 +109,9 @@ class StateTensor:
                 raise FormatError(
                     f"amplitude array of size {amps.size} does not fill dims {dims}"
                 )
-        if not np.all(np.isfinite(amps)):
+        if not np.isfinite(amps).all():
             raise FormatError("amplitudes contain non-finite entries")
-        if not np.any(amps):
+        if not amps.any():
             raise ZeroStateError("the zero tensor is not a state")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -159,19 +160,18 @@ class LocalOperation:
 
     Factor i has shape (k_i', k_i): the output dimension may differ from the
     input dimension (rectangular Clare-side maps). The invertibility flag of
-    each factor is computed at construction; a factor is invertible iff it is
-    square with full numerical rank.
+    each factor is computed on first read of ``invertible`` and kept; a factor
+    is invertible iff it is square with full numerical rank.
     """
 
     factors: tuple[np.ndarray, ...]
-    invertible: tuple[bool, ...] = field(init=False)
 
     def __post_init__(self):
-        factors = tuple(_as_factor(m) for m in self.factors)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(
-            self, "invertible", tuple(_is_invertible(m) for m in factors)
-        )
+        object.__setattr__(self, "factors", tuple(_as_factor(m) for m in self.factors))
+
+    @cached_property
+    def invertible(self) -> tuple[bool, ...]:
+        return tuple(_is_invertible(m) for m in self.factors)
 
     @property
     def party_count(self) -> int:
@@ -309,6 +309,10 @@ def apply_local(operation: LocalOperation, psi: StateTensor) -> StateTensor:
     Output dims are the factors' output dimensions; the result is not
     normalized. A numerically zero result raises AnnihilationError: vanishing
     branches are conditioned away, not returned as states.
+
+    Each step feeds ``np.dot`` the operands ``np.tensordot(factor, out,
+    axes=(1, axis))`` feeds it: the factor as it is, and ``out`` with the
+    party's axis first and the others in order, reshaped to (k, rest).
     """
     if operation.party_count != psi.party_count:
         raise FormatError(
@@ -322,7 +326,10 @@ def apply_local(operation: LocalOperation, psi: StateTensor) -> StateTensor:
                 f"factor {axis} has shape {factor.shape}, party dimension is "
                 f"{psi.dims[axis]}"
             )
-        out = np.moveaxis(np.tensordot(factor, out, axes=(1, axis)), 0, axis)
+        moved = out.transpose(axis, *range(axis), *range(axis + 1, out.ndim))
+        product = np.dot(factor, moved.reshape(moved.shape[0], -1))
+        back = (*range(1, axis + 1), 0, *range(axis + 1, out.ndim))
+        out = product.reshape(factor.shape[0], *moved.shape[1:]).transpose(back)
     if not out.any():
         raise AnnihilationError("local operation annihilated the state")
     result = StateTensor(out.shape, out)

@@ -1,11 +1,13 @@
 """State construction, local operations, flattening, partial traces."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 import entclass as ec
+from entclass.classify import partial_order
 from entclass.errors import (
     AnnihilationError,
     FormatError,
@@ -116,11 +118,54 @@ def test_apply_local_projector_kills_branch():
     assert np.count_nonzero(out.amplitudes) == 1
 
 
+ANNIHILATED = "^local operation annihilated the state$"
+
+
 def test_apply_local_annihilation_is_an_error():
     psi = ec.make_state((2, 2, 2), {(1, 0, 0): 1})
     keep0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    with pytest.raises(AnnihilationError):
+    with pytest.raises(AnnihilationError, match=ANNIHILATED):
         ec.apply_local(ec.LocalOperation.single_party((2, 2, 2), 0, keep0), psi)
+    # A roundoff-sized output, nonzero but 1e-16 of ||psi|| ||M||, is annihilated too.
+    psi = ec.StateTensor((2,), np.array([1.0, -(1.0 + 2.0**-52)]))
+    ones = ec.LocalOperation((np.ones((1, 2)),))
+    assert tensordot_reference(ones, psi).any()
+    with pytest.raises(AnnihilationError, match=ANNIHILATED):
+        ec.apply_local(ones, psi)
+
+
+def tensordot_reference(operation, psi) -> np.ndarray:
+    """The contraction ``apply_local`` makes, written with tensordot."""
+    out = psi.amplitudes
+    for axis, factor in enumerate(operation.factors):
+        out = np.moveaxis(np.tensordot(factor, out, axes=(1, axis)), 0, axis)
+    return out
+
+
+def _complex_normal(gen, shape) -> np.ndarray:
+    return gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(3,), (2, 3), (2, 3, 4), (2, 3, 2, 3), *((2, 2, n) for n in (1, 2, 3, 4, 16))],
+)
+def test_apply_local_matches_tensordot_bit_for_bit(dims, gen):
+    for _ in range(20):
+        psi = ec.StateTensor(dims, _complex_normal(gen, dims))
+        factors = [_complex_normal(gen, (k, k)) for k in dims]
+        ops = [ec.LocalOperation(factors)] + [
+            ec.LocalOperation.single_party(dims, party, factors[party])
+            for party in range(len(dims))
+        ]
+        if len(dims) == 3:  # Clare's rectangular maps: 3 x 4 and 1 x n
+            clare = (3, dims[2]) if dims[2] == 4 else (1, dims[2])
+            ops.append(ec.LocalOperation((*factors[:2], _complex_normal(gen, clare))))
+        for op in ops:
+            out = ec.apply_local(op, psi)
+            expected = tensordot_reference(op, psi)
+            assert out.dims == expected.shape
+            assert out.amplitudes.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e-300, 1e-310])
@@ -235,16 +280,45 @@ def test_bipartite_slice_rank_invariant_under_sl(gen):
             assert before == after
 
 
-def test_local_operation_invertibility_flags():
-    op = ec.LocalOperation(
-        (
-            np.eye(2, dtype=complex),
-            np.array([[1, 1], [0, 0]], dtype=complex),
-            np.array([[1, 0, 0], [0, 1, 0]], dtype=complex),
-        )
+def test_local_operation_invertibility_flags(monkeypatch):
+    # The flags cost one SVD per square factor, paid on first read only:
+    # dressing a state never reads them.
+    svd, calls = np.linalg.svd, []
+
+    def counted_svd(matrix, **kwargs):
+        calls.append(matrix.shape)
+        return svd(matrix, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    factors = (
+        np.eye(2, dtype=complex),
+        np.array([[1, 1], [0, 0]], dtype=complex),
+        np.array([[1, 0, 0], [0, 1, 0]], dtype=complex),
+        np.array([[2.5]]),
+        np.array([[0.0]]),
+        np.diag([1.0, 1e-12]),
     )
-    assert op.invertible == (True, False, False)
+    op = ec.LocalOperation(factors)
+    assert calls == []
+    flags = op.invertible
+    assert flags == (True, False, False, True, False, False)
+    assert len(calls) == 5  # one per square factor; a rectangular one is False unseen
+    assert op.invertible is flags and len(calls) == 5
     assert not op.all_invertible
+    assert repr(op) == (
+        "LocalOperation(2x2, 2x2, 2x3, 1x1, 1x1, 2x2, "
+        "invertible=(True, False, False, True, False, False))"
+    )
+    square = ec.LocalOperation(factors[:2] + factors[3:4])
+    assert square.after(square).invertible == (True, False, True)
+    # A pickle carries the flags if they were read, and computes them if not.
+    for before in (op, ec.LocalOperation(factors)):
+        assert pickle.loads(pickle.dumps(before)).invertible == flags
+    order = partial_order()
+    copy = pickle.loads(pickle.dumps(order))
+    for edge in order.edges:
+        assert repr(copy.witnesses[edge]) == repr(order.witnesses[edge])
+        assert not copy.witnesses[edge].all_invertible
 
 
 def test_zero_tensor_rejected():
