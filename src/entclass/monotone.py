@@ -20,6 +20,7 @@ computes a trial with the same arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -61,6 +62,9 @@ _SLACK_ABS_FLOOR = 1e-14
 #: Trials drawn and evaluated together; bounds the engine's working memory.
 _BLOCK = 64
 
+#: The k x k identity, built once per k; a read-only view, since every call shares it.
+_eye = functools.cache(lambda k: np.broadcast_to(np.eye(k), (k, k)))
+
 
 def _measure(measure: str, psi: StateTensor | None = None):
     """The MEASURES entry of ``measure``; with ``psi``, also check its dims."""
@@ -82,7 +86,7 @@ def _pair_elements(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
     holding the alphas and the betas. Returns the (G, 2, k, k) elements
     u_mu diag_mu v.
     """
-    eye = np.eye(u.shape[-1])
+    eye = _eye(u.shape[-1])
     unitarity = np.abs(u.conj().swapaxes(-1, -2) @ u - eye)
     norms = np.abs(diag[:, 0] ** 2 + diag[:, 1] ** 2 - 1.0)
     # One test of every residual; a failure or a NaN takes the per-factor
@@ -103,7 +107,7 @@ def _pair_elements(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
             raise FormatError("alpha_i^2 + beta_i^2 must equal 1")
     elements = u[:, :2] @ (diag[..., None] * u[:, 2:])
     gram = elements.conj().swapaxes(-1, -2) @ elements
-    if (np.abs(gram[:, 0] + gram[:, 1] - eye).max(axis=(-2, -1)) > 1e-10).any():
+    if np.abs(gram[:, 0] + gram[:, 1] - eye).max() > 1e-10:
         raise FormatError("POVM elements do not sum to the identity")
     return elements
 
@@ -158,10 +162,7 @@ class PovmPair:
         return self._elements[mu - 1]
 
     def is_diagonal_frame(self, atol: float = 1e-12) -> bool:
-        eye = np.eye(self.k)
-        return all(
-            np.abs(u - eye).max() <= atol for u in (self.u1, self.u2, self.v)
-        )
+        return all(np.abs(u - _eye(self.k)).max() <= atol for u in (self.u1, self.u2, self.v))
 
 
 class Outcome(NamedTuple):
@@ -234,12 +235,12 @@ def _degenerate(alphas) -> bool:
 def _draw_pair(gen: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
     """One pair's draws: k uniform diagonals, redrawn while degenerate, then
     the 6k^2 normals of u1, u2 and v (see ``numerics._haar``)."""
-    alphas = gen.uniform(0.0, 1.0, size=k)
+    alphas = gen.random(k)  # the bits of gen.uniform(0.0, 1.0, size=k)
     # A degenerate draw has alphas[0] within _DEGENERATE_EPS of 0 or of 1.
     while not (
         _DEGENERATE_EPS <= alphas[0] <= 1.0 - _DEGENERATE_EPS
     ) and _degenerate(alphas.tolist()):
-        alphas = gen.uniform(0.0, 1.0, size=k)
+        alphas = gen.random(k)
     return alphas, gen.standard_normal(6 * k * k)
 
 
@@ -300,11 +301,9 @@ def _apply(psi: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         raise FormatError("amplitudes contain non-finite entries")
     with np.errstate(over="ignore"):
         norm_sq = (psi.real**2 + psi.imag**2).reshape(count, -1).sum(axis=1)
-    off = np.flatnonzero(np.abs(norm_sq - 1.0) > 1e-9)
-    if off.size:
-        raise NormalizationError(
-            f"state has squared norm {norm_sq[off[0]]:.6g}, expected 1"
-        )
+    off = np.abs(norm_sq - 1.0) > 1e-9
+    if off.any():
+        raise NormalizationError(f"state has squared norm {norm_sq[off][0]:.6g}, expected 1")
     raw = np.empty((count, 2) + dims, dtype=complex)
     for parties, rows, elements in groups:
         k = elements.shape[-1]
@@ -328,9 +327,9 @@ def _apply(psi: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             raw[at] = out.reshape(out.shape[:3] + moved.shape[2:]).transpose(0, 1, *back)
     probabilities = (raw.real**2 + raw.imag**2).reshape(count, 2, -1).sum(axis=2)
     total = probabilities[:, 0] + probabilities[:, 1]
-    off = np.flatnonzero(np.abs(total - 1.0) > 1e-10)
-    if off.size:
-        raise FormatError(f"outcome probabilities sum to {total[off[0]]}, expected 1")
+    off = np.abs(total - 1.0) > 1e-10
+    if off.any():
+        raise FormatError(f"outcome probabilities sum to {total[off][0]}, expected 1")
     null = probabilities < NULL_BRANCH_EPS
     # Dividing real and imaginary parts keeps each entry independent of the stack.
     scale = np.sqrt(np.where(null, 1.0, probabilities))
@@ -365,12 +364,10 @@ def _evaluate(measure: str, psi: np.ndarray, groups) -> _Evaluated:
     values = np.abs(values).reshape(len(psi), 3)
     before = values[:, 0]
     after = np.where(null, 0.0, values[:, 1:])
-    after_avg = probabilities[:, 0] * after[:, 0] + probabilities[:, 1] * after[:, 1]
+    after_avg = (probabilities * after).sum(axis=1)  # p0*a0 + p1*a1, in that order
     slack = before - after_avg
     passed = slack >= -(1e-9 * before + _SLACK_ABS_FLOOR)
-    return _Evaluated(
-        probabilities, null, states, before, after, after_avg, slack, passed
-    )
+    return _Evaluated(probabilities, null, states, before, after, after_avg, slack, passed)
 
 
 def _outcomes(probabilities, null, states, row: int) -> tuple[Outcome, Outcome]:
@@ -497,7 +494,7 @@ def _run_block(measure: str, seed: int, trials, party: int | None) -> _Evaluated
         if draws:
             rows, parties, alphas, pair_normals = zip(*draws)
             alphas = np.array(alphas)
-            diag = np.stack([alphas, np.sqrt(1.0 - alphas**2)], axis=1)
+            diag = np.concatenate((alphas, np.sqrt(1.0 - alphas**2)), axis=1).reshape(-1, 2, k)
             u = _haar(np.array(pair_normals).reshape(-1, 3, 2, k, k))
             groups.append((np.array(parties), np.array(rows), _pair_elements(u, diag)))
     psi = _normalized(normals, sq).reshape((len(trials),) + dims)

@@ -63,11 +63,12 @@ def _check_int(name: str, value) -> int:
     return operator.index(value)
 
 
-def _check_key(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer in [0, 2**64)."""
+def _check_key(name: str, value) -> int:
+    """``value`` as an int in [0, 2**64), or ValueError."""
     if type(value) is not int or not 0 <= value < 2**64:  # one test per engine trial
-        if not 0 <= _check_int(name, value) < 2**64:
+        if not 0 <= (value := _check_int(name, value)) < 2**64:
             raise ValueError(f"{name} must be a 64-bit unsigned integer")
+    return value
 
 
 @dataclass(frozen=True)
@@ -127,16 +128,18 @@ def random_sl(k: int, rng: RandomSource | np.random.Generator) -> np.ndarray:
 def _substreams(seed: int, streams):
     """One generator rekeyed to (seed, s) for each stream s in turn.
 
-    It yields the draws of ``RandomSource(seed, s).generator()``; resetting
-    the key of one Philox is cheaper than building a generator per stream.
+    It yields the draws of ``RandomSource(seed, s).generator()``; rekeying one
+    Philox from a state of Python ints, which its setter reads twice as fast
+    as uint64 arrays, is cheaper than building a generator per stream.
     The seed and each stream are checked as ``RandomSource`` checks them.
     """
     gen = RandomSource(seed).generator()
     state = gen.bit_generator.state
+    for part, name in ((state["state"], "counter"), (state["state"], "key"), (state, "buffer")):
+        part[name] = part[name].tolist()
     key = state["state"]["key"]
     for stream in streams:
-        _check_key("stream", stream)
-        key[1] = stream
+        key[1] = _check_key("stream", stream)
         gen.bit_generator.state = state
         yield gen
 
@@ -144,7 +147,7 @@ def _substreams(seed: int, streams):
 def _haar(normals: np.ndarray) -> np.ndarray:
     """Haar unitaries from (..., 2, k, k) standard normals, real parts first:
     one QR over the whole stack, then the phase fix."""
-    z = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2)
+    z = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[np.abs(d) < 1e-300] = 1.0

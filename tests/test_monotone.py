@@ -12,7 +12,7 @@ import pytest
 
 import entclass as ec
 from entclass.errors import FormatError, NormalizationError, ProofChainError
-from entclass.monotone import _BLOCK
+from entclass.monotone import _BLOCK, _draw_pair
 
 from conftest import random_diagonal_pair, rep, uniform_block_state
 
@@ -386,6 +386,57 @@ def test_monotone_trial_matches_hand_rolled_draw(measure, party):
             # Equal outcome states mean the same party and the same pair.
             assert mine.probability == ref.probability
             assert np.array_equal(mine.state.amplitudes, ref.state.amplitudes)
+
+
+def test_draw_pair_diagonals_are_the_uniform_draws():
+    # Twin generators: the pair's diagonals are gen.uniform(0.0, 1.0, size=k)
+    # bit for bit, and its normals follow them on the stream.
+    for seed, stream in ((0, 0), (7, 2**63), (2**64 - 1, 12345), (20243, 393)):
+        for k in range(2, 17):
+            mine = ec.RandomSource(seed, stream).generator()
+            twin = ec.RandomSource(seed, stream).generator()
+            alphas, normals = _draw_pair(mine, k)
+            assert alphas.tobytes() == twin.uniform(0.0, 1.0, size=k).tobytes()
+            assert normals.tobytes() == twin.standard_normal(6 * k * k).tobytes()
+
+
+class _ScriptedDiagonals:
+    """A generator stand-in that hands out scripted diagonals and logs each draw."""
+
+    def __init__(self, *diagonals):
+        self.diagonals = [np.array(d) for d in diagonals]
+        self.log = []
+
+    def random(self, k):
+        self.log.append(("diagonals", k))
+        return self.diagonals.pop(0)
+
+    def uniform(self, low, high, size):
+        assert (low, high) == (0.0, 1.0)
+        return self.random(size)
+
+    def standard_normal(self, size):
+        self.log.append(("normals", size))
+        return np.zeros(size)
+
+
+@pytest.mark.parametrize(
+    "diagonals, kept",
+    [
+        # min(alpha, beta) below 1e-7 at every level: redrawn, twice.
+        (([0.0, 1.0, 1e-9], [1.0 - 2**-53, 5e-8, 1.0], [0.25, 0.5, 0.75]), 2),
+        (([1.0 - 2**-53, 0.0, 0.0], [0.25, 0.5, 0.75]), 1),
+        # alphas[0] at the edge, but another level is not: kept.
+        (([1e-9, 0.5, 1.0], [0.25, 0.5, 0.75]), 0),
+        (([0.5, 0.0, 1.0], [0.25, 0.5, 0.75]), 0),
+    ],
+)
+def test_draw_pair_redraws_degenerate_diagonals(diagonals, kept):
+    gen = _ScriptedDiagonals(*diagonals)
+    alphas, normals = _draw_pair(gen, 3)
+    assert alphas.tolist() == list(diagonals[kept])
+    assert gen.log == [("diagonals", 3)] * (kept + 1) + [("normals", 54)]
+    assert normals.shape == (54,)
 
 
 def test_monotone_trial_rejects_party_out_of_range():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import entclass as ec
+from entclass.numerics import _haar, _substreams
 
 from conftest import svd_rank
 
@@ -117,6 +118,55 @@ def test_random_source_rejects_non_integral_keys(value):
         ec.monte_carlo("det222", 12, value)
     with pytest.raises(ValueError, match="stream must be an integer"):
         ec.monotone_trial("det222", 1, value)
+
+
+def _stream_draws(gen) -> tuple:
+    # Ends on integers(0, 3), which leaves half of a 64-bit draw in Philox's
+    # 32-bit buffer, so the next rekey has that buffer to clear.
+    return (gen.standard_normal(5).tobytes(), gen.random(3).tobytes(), int(gen.integers(0, 3)))
+
+
+def test_substreams_rekey_as_fresh_generators():
+    streams = [2**63, 1, 0, 2**64 - 1, 1, 2**63, np.uint64(2**64 - 1), np.int64(7), 0]
+    for seed in (0, 5, 2**64 - 1):
+        buffered = 0
+        for stream, gen in zip(streams, _substreams(seed, streams)):
+            assert _stream_draws(gen) == _stream_draws(ec.RandomSource(seed, stream).generator())
+            buffered += gen.bit_generator.state["has_uint32"]
+        assert buffered  # some rekey came right after a half-used 64-bit draw
+
+
+@pytest.mark.parametrize(
+    "stream, message",
+    [(1.5, "stream must be an integer"), (-1, "64-bit"), (2**64, "64-bit"), (np.int64(-3), "64-bit")],
+)
+def test_substreams_reject_streams_outside_the_key_range(stream, message):
+    with pytest.raises(ValueError, match=message):
+        ec.monotone_batch("det222", 1, [0, 2**64 - 1, stream])
+
+
+def _reference_haar(normals):
+    # The phase fix written out: a diagonal entry below 1e-300 takes phase 1.
+    z = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d[np.abs(d) < 1e-300] = 1.0
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def test_haar_zero_column_and_common_path_match_the_formula(gen):
+    for k in (2, 3, 4):
+        common = gen.standard_normal((5, 2, k, k))
+        tiny = common.copy()
+        tiny[1, :, :, 0] = 0.0  # a zero first column: r[0, 0] is 0
+        tiny[3, :, :, k - 1] = 0.0  # a zero last column
+        r = np.linalg.qr(tiny[:, 0] + 1j * tiny[:, 1])[1]
+        assert (np.abs(np.diagonal(r, axis1=-2, axis2=-1)) < 1e-300).sum() == 2
+        for normals in (common, tiny):
+            u = _haar(normals)
+            assert u.tobytes() == _reference_haar(normals).tobytes()
+            assert np.isfinite(u).all()
+            assert np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(k)).max() < 1e-12
 
 
 def test_random_state_bipartite_schmidt_rank(gen):
