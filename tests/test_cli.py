@@ -279,6 +279,16 @@ def test_cli_ambiguity_exits_two(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_cli_lapack_failure_exits_one(tmp_path, capsys, monkeypatch):
+    def not_converged(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(ec.invariants, "_lapack", not_converged)
+    path = write_state(tmp_path, ec.representative("GHZ", 2))
+    code, out, err = invoke(["classify", "--in", path], capsys)
+    assert (code, out, err) == (1, "", "entclass: SVD did not converge\n")
+
+
 def test_invariants_subcommand(tmp_path, capsys):
     path = write_state(tmp_path, ec.representative("W", 3))
     code, out, err = invoke(["invariants", "--in", path], capsys)

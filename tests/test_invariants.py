@@ -4,12 +4,16 @@ concurrence, the three-tangle, monogamy residuals, dimension counts."""
 import collections
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 import entclass as ec
 from entclass import invariants
@@ -503,3 +507,69 @@ def test_invariant_reports_match_parent_digests():
     got = invariant_report_digests()
     assert sorted(got) == sorted(DIGESTS)
     assert [key for key in DIGESTS if got[key] != DIGESTS[key]] == []
+
+
+# ---------------------------------------------------------------------------
+# the kernel's direct LAPACK gufunc calls
+
+
+def test_lapack_failure_raises_numpys_error():
+    # sqrt(-1) sets the invalid flag, as a gufunc that did not converge does.
+    with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+        invariants._lapack(np.sqrt, np.array([-1.0]), "d->d")
+    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+        invariants._lapack(np.sqrt, np.array([-1.0]), "d->d", invariants._eig_failed)
+
+
+def _public_lapack(gufunc, a, signature="D->d", fail=None):
+    """The np.linalg call that wraps each gufunc the kernel calls directly."""
+    return {
+        "svd_s": lambda: np.linalg.svd(a, full_matrices=False),
+        "svd": lambda: np.linalg.svd(a, compute_uv=False),
+        "eigvalsh_lo": lambda: np.linalg.eigvalsh(a),
+        "det": lambda: np.linalg.det(a),
+    }[gufunc.__name__]()
+
+
+@pytest.mark.parametrize(
+    "n, r3", [(n, r3) for n in range(1, 17) for r3 in range(1, 5) if r3 <= n]
+)
+def test_report_equals_the_public_linalg_route(n, r3, monkeypatch):
+    gen = np.random.default_rng(1000 * n + r3)
+    a = gen.normal(size=(4, r3)) + 1j * gen.normal(size=(4, r3))
+    b = gen.normal(size=(r3, n)) + 1j * gen.normal(size=(r3, n))
+    psi = ec.StateTensor((2, 2, n), (a @ b).reshape(2, 2, n))
+    kernel = ec.invariant_report(psi)
+    assert kernel.local_ranks[2] == r3
+    monkeypatch.setattr(invariants, "_lapack", _public_lapack)
+    public = ec.invariant_report(psi)
+    for field in dataclasses.fields(ec.InvariantReport):
+        assert repr(getattr(kernel, field.name)) == repr(getattr(public, field.name)), field.name
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e120])
+def test_det223_stack_equals_the_public_det(scale):
+    # np.linalg.det sets no errstate: on real minors that overflow, det's
+    # sign (+-1 + 0j) times inf sets the invalid flag, which must not raise
+    # LinAlgError here.
+    gen = np.random.default_rng(223)
+    x = gen.normal(size=(64, 2, 2, 3)) + 1j * gen.normal(size=(64, 2, 2, 3))
+    if scale != 1.0:
+        x = scale * x.real + 0j
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.linalg.det(x.reshape(64, 4, 3)[..., invariants._DET223_ROWS, :])
+        expected = d[:, 0] * d[:, 1] - d[:, 2] * d[:, 3]
+        got = invariants._det223(x)
+    assert scale == 1.0 or np.isnan(expected).any()
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+def test_missing_gufunc_fails_at_import(monkeypatch):
+    # numpy 1.x names the reduced SVD gufuncs svd_m_s/svd_n_s; no fallback.
+    old = types.ModuleType(_umath_linalg.__name__)
+    for name in ("det", "eigvalsh_lo", "svd"):
+        setattr(old, name, getattr(_umath_linalg, name))
+    monkeypatch.setitem(sys.modules, _umath_linalg.__name__, old)
+    spec = importlib.util.spec_from_file_location("entclass._probe", invariants.__file__)
+    with pytest.raises(ImportError, match="'svd_s'"):
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))

@@ -17,9 +17,11 @@ POLICY = ec.DEFAULT_POLICY
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count np.linalg.svd, np.linalg.eigvalsh and apply_local calls through
-    any binding."""
-    counts = {"svd": 0, "eigvalsh": 0, "apply_local": 0}
+    """Count the kernel's LAPACK gufunc calls at ``invariants._lapack``, by
+    gufunc name, the np.linalg wrappers the kernel no longer calls, and
+    apply_local calls through any binding."""
+    counts = dict.fromkeys(["svd_s", "svd", "eigvalsh_lo", "det", "apply_local"], 0)
+    counts.update({f"np.linalg.{name}": 0 for name in ("svd", "eigvalsh", "det")})
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -28,8 +30,15 @@ def counted(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    lapack = ec.invariants._lapack
+
+    def counting_lapack(gufunc, *args, **kwargs):
+        counts[gufunc.__name__] += 1
+        return lapack(gufunc, *args, **kwargs)
+
+    monkeypatch.setattr(ec.invariants, "_lapack", counting_lapack)
+    for name in ("svd", "eigvalsh", "det"):
+        monkeypatch.setattr(np.linalg, name, counting(f"np.linalg.{name}", getattr(np.linalg, name)))
     original = ec.tensor.apply_local
     wrapped = counting("apply_local", original)
     for name, module in list(sys.modules.items()):
@@ -44,8 +53,10 @@ def counted(monkeypatch):
 def test_classify_call_budget(label, n, counted):
     psi = ec.representative(label, natural_n(label) if n is None else n)
     assert ec.classify(psi)[0] == label
-    assert counted["svd"] <= 3
-    assert counted["eigvalsh"] == (psi.dims[2] != 2)  # Clare's 2x2 density is closed form
+    assert counted["svd_s"] + counted["svd"] <= 3
+    assert counted["eigvalsh_lo"] == (psi.dims[2] != 2)  # Clare's 2x2 density is closed form
+    assert counted["det"] == (label.rank_signature[2] == 3)  # the stacked det223 minors
+    assert counted["np.linalg.svd"] == counted["np.linalg.eigvalsh"] == counted["np.linalg.det"] == 0
     assert counted["apply_local"] == 0
 
 
