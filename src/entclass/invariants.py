@@ -23,7 +23,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import det as _det, eigvalsh_lo as _eigvalsh_lo, svd as _svd, svd_s as _svd_s
 
 from .errors import FormatError, NumericalInstabilityError
-from .numerics import DEFAULT_POLICY, ZERO_FLOOR, TolerancePolicy
+from .numerics import DEFAULT_POLICY, ZERO_FLOOR, TolerancePolicy, _eig_failed, _lapack
 from .tensor import (
     DensityMatrix,
     StateTensor,
@@ -148,27 +148,6 @@ def _require_format(psi: StateTensor, n: int | None = None) -> None:
 _EPS = float(np.finfo(float).eps)
 
 
-def _svd_failed(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge")
-
-
-def _eig_failed(err, flag):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-
-def _lapack(gufunc, a, signature="D->d", fail=_svd_failed):
-    """``gufunc(a, signature=signature)`` for one of np.linalg's own LAPACK
-    gufuncs under the errstate np.linalg sets around it (``fail=None``: none,
-    as for det): np.linalg's bits and errors, without its per-call array,
-    shape and dtype checks, which cost as much as the call on the kernel's
-    small complex inputs. Cold paths keep np.linalg: their wrapper cost is on
-    no workload's per-operation path."""
-    if fail is None:
-        return gufunc(a, signature=signature)
-    with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return gufunc(a, signature=signature)
-
-
 def _qubit_spectrum(gram) -> tuple[float, float]:
     """Ascending eigenvalues of the 2x2 Hermitian [[p, b*], [b, q]] (nested
     Python numbers; the lower triangle is read, as by eigvalsh). lambda_max =
@@ -197,7 +176,7 @@ def _local_spectra(amps: np.ndarray, policy: TolerancePolicy):
     the tolerance t; no upper count could fire, as unit trace gives lambda_0
     >= 1/k, so delta >= 8 eps > t^2 for every allowed t <= 1e-8."""
     f = amps.reshape(4, -1)
-    u, s, _ = _lapack(_svd_s, f, "D->DdD")
+    u, s, _ = _lapack(_svd_s, f, signature="D->DdD")
     pair = np.concatenate((amps, amps.transpose(1, 0, 2))).reshape(2, 2, -1)
     singular = _lapack(_svd, pair).tolist() + [s.tolist()]
     grams = (pair @ pair.conj().transpose(0, 2, 1)).tolist()
@@ -325,7 +304,8 @@ _DET223_ROWS = np.array([[0, 1, 2], [1, 2, 3], [0, 1, 3], [0, 2, 3]])
 def _det223(a: np.ndarray):
     """``det223`` on (..., 2, 2, 3) amplitudes: one stacked determinant call
     over the four row selections of every state."""
-    d = _lapack(_det, a.reshape(a.shape[:-3] + (4, 3)).take(_DET223_ROWS, axis=-2), "D->D", None)
+    minors = a.reshape(a.shape[:-3] + (4, 3)).take(_DET223_ROWS, axis=-2)
+    d = _lapack(_det, minors, signature="D->D", fail=None)
     d = np.moveaxis(d, -1, 0)
     return d[0] * d[1] - d[2] * d[3]
 

@@ -88,7 +88,7 @@ def _pair_elements(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """
     eye = _eye(u.shape[-1])
     unitarity = np.abs(u.conj().swapaxes(-1, -2) @ u - eye)
-    norms = np.abs(diag[:, 0] ** 2 + diag[:, 1] ** 2 - 1.0)
+    norms = np.abs((diag * diag).sum(axis=1) - 1.0)
     # One test of every residual; a failure or a NaN takes the per-factor
     # route that picks the message, before non-finite input is multiplied.
     if not (
@@ -481,23 +481,29 @@ def _run_block(measure: str, seed: int, trials, party: int | None) -> _Evaluated
     _, dims, _ = _measure(measure)
     if party is not None and not 0 <= _check_int("party", party) < 3:
         raise ValueError(f"party must be 0, 1, or 2, got {party}")
-    size = math.prod(dims)
-    normals = np.empty((len(trials), 2 * size))
-    sq = np.empty(len(trials))
-    drawn = {k: [] for k in sorted(set(dims))}
+    count, size = len(trials), math.prod(dims)
+    normals = np.empty((count, 2 * size))
+    sq = np.empty(count)
+    # Per pair dimension k: the rows its pairs measure, their parties,
+    # diagonals (alphas, then betas) and unitaries' normals, in draw order.
+    drawn = {k: (np.empty(count, int), np.empty(count, int), np.empty((count, 2, k)),
+                 np.empty((count, 6 * k * k))) for k in sorted(set(dims))}
+    used = dict.fromkeys(drawn, 0)
     for row, gen in enumerate(_substreams(seed, trials)):
         normals[row], sq[row] = _draw_state(gen, size)
         p = int(gen.integers(0, 3)) if party is None else party
-        drawn[dims[p]].append((row, p, *_draw_pair(gen, dims[p])))
+        rows, parties, diag, pair_normals = drawn[k := dims[p]]
+        i = used[k]
+        rows[i], parties[i], diag[i, 0], pair_normals[i] = row, p, *_draw_pair(gen, k)
+        used[k] = i + 1
     groups = []
-    for k, draws in drawn.items():
-        if draws:
-            rows, parties, alphas, pair_normals = zip(*draws)
-            alphas = np.array(alphas)
-            diag = np.concatenate((alphas, np.sqrt(1.0 - alphas**2)), axis=1).reshape(-1, 2, k)
-            u = _haar(np.array(pair_normals).reshape(-1, 3, 2, k, k))
-            groups.append((np.array(parties), np.array(rows), _pair_elements(u, diag)))
-    psi = _normalized(normals, sq).reshape((len(trials),) + dims)
+    for k, (rows, parties, diag, pair_normals) in drawn.items():
+        if n := used[k]:
+            diag = diag[:n]
+            diag[:, 1] = np.sqrt(1.0 - diag[:, 0] ** 2)
+            u = _haar(pair_normals[:n].reshape(n, 3, 2, k, k))
+            groups.append((parties[:n], rows[:n], _pair_elements(u, diag)))
+    psi = _normalized(normals, sq).reshape((count,) + dims)
     return _evaluate(measure, psi, groups)
 
 

@@ -10,16 +10,20 @@ can be replayed from its (seed, stream) pair alone.
 RNG pin: numpy's Philox (4x64) keyed directly with (seed, stream). The
 key fully determines the stream on every platform and numpy release that
 ships Philox, which makes Monte-Carlo aggregates seed-deterministic and
-embarrassingly parallel.
+embarrassingly parallel. A generator's state is set to the one
+``Philox(key=[seed, stream])`` starts in, so building it reads no OS entropy.
+``_lapack``, the library's one route to LAPACK, also draws the QRs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import det as _det, qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced
 
 from .errors import AmbiguityError, FormatError
 from .tensor import MAX_LEVELS, StateTensor
@@ -71,6 +75,31 @@ def _check_key(name: str, value) -> int:
     return value
 
 
+def _svd_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def _eig_failed(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _qr_failed(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+def _lapack(gufunc, *operands, signature="D->d", fail=_svd_failed):
+    """``gufunc(*operands, signature=signature)`` for one of np.linalg's own
+    LAPACK gufuncs under the errstate np.linalg sets around it (``fail=None``:
+    none, as for det): np.linalg's bits and errors, without its per-call
+    array, shape and dtype checks, which cost as much as the call on the
+    library's small complex inputs. Cold paths keep np.linalg: their wrapper
+    cost is on no workload's per-operation path."""
+    if fail is None:
+        return gufunc(*operands, signature=signature)
+    with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return gufunc(*operands, signature=signature)
+
+
 @dataclass(frozen=True)
 class RandomSource:
     """A reproducible random stream identified by (seed, stream).
@@ -88,8 +117,31 @@ class RandomSource:
             _check_key(name, getattr(self, name))
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed, self.stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        """The draws of ``Generator(Philox(key=[seed, stream]))``. Like it,
+        its ``spawn`` raises TypeError: the seed sequence it holds makes no
+        children, so no two generators share spawn state."""
+        gen = np.random.Generator(np.random.Philox(_fixed_seed()))
+        gen.bit_generator.state = _philox_state(self.seed, self.stream)
+        return gen
+
+
+@functools.cache
+def _fixed_seed():
+    """A stateless seed sequence, without which Philox reads OS entropy; made
+    on first use, so that ``import entclass`` does not import numpy.random."""
+
+    class FixedSeed(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype)
+
+    return FixedSeed()
+
+
+def _philox_state(seed: int, stream: int) -> dict:
+    """The state ``Philox(key=[seed, stream])`` starts in, as Python ints,
+    which the state setter reads twice as fast as uint64 arrays."""
+    return {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [seed, stream]},
+            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def _as_generator(rng: RandomSource | np.random.Generator) -> np.random.Generator:
@@ -119,7 +171,7 @@ def random_sl(k: int, rng: RandomSource | np.random.Generator) -> np.ndarray:
     gen = _as_generator(rng)
     for _ in range(100):
         m = (gen.standard_normal((k, k)) + 1j * gen.standard_normal((k, k))) / np.sqrt(2)
-        det = complex(np.linalg.det(m))
+        det = complex(_lapack(_det, m, signature="D->D", fail=None))
         if abs(det) >= 1e-12:
             return m * det ** (-1.0 / k)
     raise RuntimeError("could not draw a nonsingular matrix in 100 attempts")
@@ -129,14 +181,11 @@ def _substreams(seed: int, streams):
     """One generator rekeyed to (seed, s) for each stream s in turn.
 
     It yields the draws of ``RandomSource(seed, s).generator()``; rekeying one
-    Philox from a state of Python ints, which its setter reads twice as fast
-    as uint64 arrays, is cheaper than building a generator per stream.
-    The seed and each stream are checked as ``RandomSource`` checks them.
+    Philox is cheaper than building a generator per stream. The seed and
+    each stream are checked as ``RandomSource`` checks them.
     """
     gen = RandomSource(seed).generator()
-    state = gen.bit_generator.state
-    for part, name in ((state["state"], "counter"), (state["state"], "key"), (state, "buffer")):
-        part[name] = part[name].tolist()
+    state = _philox_state(seed, 0)
     key = state["state"]["key"]
     for stream in streams:
         key[1] = _check_key("stream", stream)
@@ -146,10 +195,11 @@ def _substreams(seed: int, streams):
 
 def _haar(normals: np.ndarray) -> np.ndarray:
     """Haar unitaries from (..., 2, k, k) standard normals, real parts first:
-    one QR over the whole stack, then the phase fix."""
+    one QR over the whole stack, as np.linalg.qr makes it, then the phase fix."""
     z = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    tau = _lapack(_qr_r_raw, z, signature="D->D", fail=_qr_failed)  # R into z's upper triangle
+    q = _lapack(_qr_reduced, z, tau, signature="DD->D", fail=_qr_failed)
+    d = np.diagonal(z, axis1=-2, axis2=-1).copy()
     d[np.abs(d) < 1e-300] = 1.0
     return q * (d / np.abs(d))[..., None, :]
 

@@ -16,7 +16,7 @@ import pytest
 from numpy.linalg import _umath_linalg
 
 import entclass as ec
-from entclass import invariants
+from entclass import invariants, numerics
 from entclass.errors import AmbiguityError, FormatError, NumericalInstabilityError
 
 from conftest import ALL_LABELS, natural_n, random_invertible_op, rep
@@ -516,9 +516,11 @@ def test_invariant_reports_match_parent_digests():
 def test_lapack_failure_raises_numpys_error():
     # sqrt(-1) sets the invalid flag, as a gufunc that did not converge does.
     with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
-        invariants._lapack(np.sqrt, np.array([-1.0]), "d->d")
+        invariants._lapack(np.sqrt, np.array([-1.0]), signature="d->d")
     with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
-        invariants._lapack(np.sqrt, np.array([-1.0]), "d->d", invariants._eig_failed)
+        invariants._lapack(np.sqrt, np.array([-1.0]), signature="d->d", fail=invariants._eig_failed)
+    with pytest.raises(np.linalg.LinAlgError, match="^Incorrect argument found while performing QR"):
+        invariants._lapack(np.sqrt, np.array([-1.0]), signature="d->d", fail=numerics._qr_failed)
 
 
 def _public_lapack(gufunc, a, signature="D->d", fail=None):

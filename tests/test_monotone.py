@@ -366,6 +366,33 @@ def test_monte_carlo_fixed_party():
     assert summary.trials == 200
 
 
+@pytest.mark.parametrize(
+    "measure, party, trials, groups",
+    [("det222", None, 150, [1, 1, 1]), ("det223", 2, 150, [1, 1, 1]), ("det223", None, 150, [2, 2, 2]),
+     ("det223", 0, 3, [1])],
+)
+def test_monte_carlo_lapack_call_budget(measure, party, trials, groups, monkeypatch):
+    # Per block: one qr_r_raw and one qr_reduced per pair dimension drawn,
+    # and one stacked det for det223; nothing through np.linalg.
+    calls = []
+    for module in (ec.numerics, ec.invariants):
+        lapack = module._lapack
+
+        def counting(gufunc, *args, lapack=lapack, **kwargs):
+            calls.append(gufunc.__name__)
+            return lapack(gufunc, *args, **kwargs)
+
+        monkeypatch.setattr(module, "_lapack", counting)
+    for name in ("qr", "det", "svd"):
+        monkeypatch.setattr(np.linalg, name, None)
+    summary = ec.monte_carlo(measure, trials, seed=5, party=party)
+    assert summary.trials == trials
+    blocks = len(groups)
+    assert calls.count("qr_r_raw") == calls.count("qr_reduced") == sum(groups)
+    assert calls.count("det") == (blocks if measure == "det223" else 0)
+    assert len(calls) == 2 * sum(groups) + calls.count("det")
+
+
 @pytest.mark.parametrize("party", [None, 0, 2])
 @pytest.mark.parametrize("measure", sorted(ec.MEASURES))
 def test_monotone_trial_matches_hand_rolled_draw(measure, party):

@@ -70,6 +70,22 @@ def test_matrix_constructors_share_one_k_range(draw, low):
         draw(ec.MAX_LEVELS + 1)
 
 
+def _reference_sl(k, gen):
+    # random_sl with its determinant from np.linalg.det.
+    while True:
+        m = (gen.standard_normal((k, k)) + 1j * gen.standard_normal((k, k))) / np.sqrt(2)
+        det = complex(np.linalg.det(m))
+        if abs(det) >= 1e-12:
+            return m * det ** (-1.0 / k)
+
+
+def test_random_sl_equals_the_public_det_route():
+    for seed in (0, 7, 2**64 - 1):
+        for k in (2, 3, 4, 16):
+            got = ec.random_sl(k, ec.RandomSource(seed, k))
+            assert got.tobytes() == _reference_sl(k, ec.RandomSource(seed, k).generator()).tobytes()
+
+
 def test_random_sl_distinct_seeds_differ():
     a = ec.random_sl(2, ec.RandomSource(1))
     b = ec.random_sl(2, ec.RandomSource(2))
@@ -120,6 +136,50 @@ def test_random_source_rejects_non_integral_keys(value):
         ec.monotone_trial("det222", 1, value)
 
 
+KEYS = (0, 2**63, 2**64 - 1)
+
+
+def _plain_state(gen) -> dict:
+    state = gen.bit_generator.state
+    return {
+        **state,
+        "state": {name: value.tolist() for name, value in state["state"].items()},
+        "buffer": state["buffer"].tolist(),
+    }
+
+
+@pytest.mark.parametrize("seed", KEYS)
+@pytest.mark.parametrize("stream", KEYS)
+def test_generator_starts_as_a_keyed_philox(seed, stream):
+    got = ec.RandomSource(seed, stream).generator()
+    keyed = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    assert _plain_state(got) == _plain_state(keyed)
+    assert _stream_draws(got) == _stream_draws(keyed)
+    assert _plain_state(got) == _plain_state(keyed)
+
+
+def test_generators_read_no_os_entropy(monkeypatch):
+    def no_entropy(bits):
+        raise AssertionError("OS entropy read")
+
+    monkeypatch.setattr(np.random.bit_generator, "randbits", no_entropy)
+    with pytest.raises(AssertionError, match="OS entropy read"):
+        np.random.Philox(key=[1, 2])  # the patch reaches numpy's constructor
+    draws = _stream_draws(ec.RandomSource(5, 9).generator())
+    assert [_stream_draws(gen) for gen in _substreams(5, [9, 9])] == [draws, draws]
+
+
+def test_generators_share_no_spawn_state():
+    # spawn raises, as on Generator(Philox(key=...)): a shared seed sequence
+    # that spawned would couple the children of every generator.
+    a, b = ec.RandomSource(1).generator(), ec.RandomSource(2).generator()
+    keyed = np.random.Generator(np.random.Philox(key=[1, 0]))
+    for gen in (a, b, keyed):
+        with pytest.raises(TypeError, match="does not implement spawning"):
+            gen.spawn(1)
+    assert _stream_draws(a) == _stream_draws(ec.RandomSource(1).generator())
+
+
 def _stream_draws(gen) -> tuple:
     # Ends on integers(0, 3), which leaves half of a 64-bit draw in Philox's
     # 32-bit buffer, so the next rekey has that buffer to clear.
@@ -155,7 +215,7 @@ def _reference_haar(normals):
 
 
 def test_haar_zero_column_and_common_path_match_the_formula(gen):
-    for k in (2, 3, 4):
+    for k in (1, 2, 3, 4):
         common = gen.standard_normal((5, 2, k, k))
         tiny = common.copy()
         tiny[1, :, :, 0] = 0.0  # a zero first column: r[0, 0] is 0
@@ -167,6 +227,18 @@ def test_haar_zero_column_and_common_path_match_the_formula(gen):
             assert u.tobytes() == _reference_haar(normals).tobytes()
             assert np.isfinite(u).all()
             assert np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(k)).max() < 1e-12
+
+
+def test_haar_follows_np_linalg_qr_on_nan_input():
+    # np.linalg.qr reports no error on NaN input (numpy 2.4.6), nor does _haar:
+    # both return the same bits.
+    normals = np.ones((4, 2, 3, 3))
+    normals[1, 0, 1, 2] = np.nan
+    normals[3] = np.nan
+    with np.errstate(invalid="ignore"):  # the phase fix divides NaN by NaN
+        u, reference = _haar(normals), _reference_haar(normals)
+    assert np.isnan(u[1]).any() and np.isnan(u[3]).all() and np.isfinite(u[[0, 2]]).all()
+    assert u.tobytes() == reference.tobytes()
 
 
 def test_random_state_bipartite_schmidt_rank(gen):
