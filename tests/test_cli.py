@@ -584,6 +584,9 @@ def report_digests(tmp_dir: str) -> dict[str, str]:
     cases = [
         ["order", "--dump"],
         ["order", "--from", "224-generic", "--to", "B3"],
+        # The two kinds of "no": a shared signature, and a rank that rises.
+        ["order", "--from", "W", "--to", "GHZ"],
+        ["order", "--from", "B1", "--to", "224-generic"],
         ["swap"],
         *(["distill", "--target", target] for target in ("GHZ", "W", "BELL_AB")),
         ["monotone", "--measure", "det223", "--trials", "600", "--seed", "11"],
