@@ -8,8 +8,12 @@ for a rank, |Det| / ||grad Det|| for a hyperdeterminant). A distance float64
 cannot resolve, or a rank signature no 2x2xn state has, raises
 ``AmbiguityError`` rather than silently picking a side.
 
-The partial order of classes under noninvertible local maps is shipped as
-an explicit edge list with one executable witness per edge: a concrete
+The partial order of classes under noninvertible local maps is one rank
+rule: a class converts to another exactly when no local rank rises and the
+signature changes. A local map cannot raise a local rank (Dür, Vidal and
+Cirac, PRA 62, 062314, 2000), and two classes that share a signature, W and
+GHZ or 223-degenerate and 223-generic, are SLOCC-inequivalent (Miyake, PRA 67,
+012108, 2003). Each covering edge ships one executable witness: a concrete
 rank-dropping operation sending the upper class representative into the
 lower class. Longer conversions compose edge witnesses.
 """
@@ -118,12 +122,11 @@ def _edge_witnesses() -> dict[tuple[ClassLabel, ClassLabel], LocalOperation]:
 
 @dataclass(frozen=True)
 class PartialOrder:
-    """The conversion DAG on ``tuple(ClassLabel)``: covering edges, witnesses.
+    """The covering edges of the conversion order, each with its witness.
 
     ``witnesses`` is read-only: ``partial_order()`` shares one instance.
     """
 
-    edges: tuple[tuple[ClassLabel, ClassLabel], ...]
     witnesses: Mapping[tuple[ClassLabel, ClassLabel], LocalOperation]
 
     def __post_init__(self):
@@ -131,31 +134,19 @@ class PartialOrder:
 
     def __reduce__(self):
         # A mapping proxy does not pickle; rebuild the order from a dict.
-        return PartialOrder, (self.edges, dict(self.witnesses))
+        return PartialOrder, (dict(self.witnesses),)
+
+    @property
+    def edges(self) -> tuple[tuple[ClassLabel, ClassLabel], ...]:
+        return tuple(self.witnesses)
 
     def successors(self, label: ClassLabel) -> tuple[ClassLabel, ...]:
-        return tuple(b for a, b in self.edges if a == label)
-
-    def is_reachable(self, source: ClassLabel, target: ClassLabel) -> bool:
-        if source == target:
-            return True
-        frontier = [source]
-        seen = set()
-        while frontier:
-            node = frontier.pop()
-            for nxt in self.successors(node):
-                if nxt == target:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return False
+        return tuple(b for a, b in self.witnesses if a == label)
 
 
 @functools.lru_cache(maxsize=1)
 def partial_order() -> PartialOrder:
-    witnesses = _edge_witnesses()
-    return PartialOrder(edges=tuple(witnesses.keys()), witnesses=witnesses)
+    return PartialOrder(_edge_witnesses())
 
 
 def hasse_edges() -> list[tuple[ClassLabel, ClassLabel]]:
@@ -165,8 +156,11 @@ def hasse_edges() -> list[tuple[ClassLabel, ClassLabel]]:
 
 def reachable(source: ClassLabel | str, target: ClassLabel | str) -> bool:
     """Whether ``source`` converts to ``target`` by (possibly noninvertible)
-    local operations; every class reaches itself."""
-    return partial_order().is_reachable(ClassLabel.parse(source), ClassLabel.parse(target))
+    local operations: every class reaches itself, and another class exactly
+    when its signature differs and none of its local ranks is higher."""
+    source, target = ClassLabel.parse(source), ClassLabel.parse(target)
+    a, b = source.rank_signature, target.rank_signature
+    return source == target or (a != b and all(rb <= ra for ra, rb in zip(a, b)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -179,7 +173,7 @@ def _witness_search(
 
     def search(state, node):
         for nxt in order.successors(node):
-            if not order.is_reachable(nxt, target):
+            if not reachable(nxt, target):
                 continue
             step = order.witnesses[(node, nxt)]
             if any(m.shape[1] != k for m, k in zip(step.factors, state.dims)):
@@ -197,12 +191,9 @@ def _witness_search(
 
     found = search(start, source)
     if found is not None:
-        operation, path = found
-        final_label = classify(apply_local(operation, start))[0]
+        final_label = classify(apply_local(found[0], start))[0]
         if final_label != target:
-            raise RuntimeError(
-                f"witness search landed in {final_label} instead of {target}"
-            )
+            raise RuntimeError(f"witness search landed in {final_label} instead of {target}")
     return found
 
 

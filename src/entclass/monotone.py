@@ -32,14 +32,13 @@ from .invariants import _det222, _det223, det222, det223
 from .numerics import (
     RandomSource,
     _as_generator,
-    _check_int,
     _check_k,
     _draw_state,
     _haar,
     _normalized,
     _substreams,
 )
-from .tensor import StateTensor
+from .tensor import StateTensor, _check_int
 
 #: measure name -> (evaluator, required dims, homogeneity degree)
 MEASURES = {

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg._umath_linalg import det as _det, qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced
 
 from .errors import AmbiguityError, FormatError
-from .tensor import MAX_LEVELS, StateTensor
+from .tensor import MAX_LEVELS, StateTensor, _check_int, _checked_dims
 
 
 #: Distances at most this are zero: a few roundoffs of a unit-norm state.
@@ -57,14 +56,6 @@ class TolerancePolicy:
 
 
 DEFAULT_POLICY = TolerancePolicy()
-
-
-def _check_int(name: str, value) -> int:
-    """``value`` as an int, or ValueError naming it. A float, bool, string or
-    array would otherwise act as the integer that int() makes of it."""
-    if isinstance(value, (bool, np.ndarray)) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 def _check_key(name: str, value) -> int:
@@ -153,8 +144,8 @@ def _as_generator(rng: RandomSource | np.random.Generator) -> np.random.Generato
 
 
 def _check_k(name: str, k: int, low: int) -> None:
-    """Raise unless ``name``'s matrix side k lies in [low, MAX_LEVELS]."""
-    if k < low:
+    """Raise unless ``name``'s matrix side k is an integer in [low, MAX_LEVELS]."""
+    if _check_int(f"{name}'s k", k, FormatError) < low:
         raise FormatError(f"{name} requires k >= {low}, got {k}")
     if k > MAX_LEVELS:
         raise FormatError(f"k={k} exceeds cap {MAX_LEVELS}")
@@ -237,6 +228,6 @@ def random_state(
     Such states are generic: with probability 1 they land in the top class
     for their format.
     """
-    dims = tuple(int(k) for k in dims)
+    dims = _checked_dims(dims)  # a zero dimension would redraw forever
     x, sq = _draw_state(_as_generator(rng), math.prod(dims))
     return StateTensor(dims, _normalized(x, sq))

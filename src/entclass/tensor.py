@@ -14,6 +14,7 @@ boundary translate to the 1-based convention (r1, r2, r3).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -47,8 +48,16 @@ def _as_factor(matrix) -> np.ndarray:
     return m
 
 
+def _check_int(name: str, value, error: type[ValueError] = ValueError) -> int:
+    """``value`` as an int, or ``error`` naming it. A float, bool, string or
+    array would otherwise act as the integer that int() makes of it."""
+    if isinstance(value, (bool, np.ndarray)) or not hasattr(type(value), "__index__"):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _checked_dims(dims: Sequence[int]) -> tuple[int, ...]:
-    dims = tuple(int(k) for k in dims)
+    dims = tuple(_check_int("a party dimension", k, FormatError) for k in dims)
     if len(dims) < 1 or any(k < 1 for k in dims):
         raise FormatError(f"invalid dims {dims}")
     if any(k > MAX_LEVELS for k in dims):

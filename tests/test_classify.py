@@ -266,12 +266,57 @@ def test_shared_witnesses_are_read_only(capsys):
     )
 
 
-def test_edges_respect_rank_dominance():
-    for a, b in ec.hasse_edges():
-        assert all(
-            ra >= rb for ra, rb in zip(a.rank_signature, b.rank_signature)
-        ) or a.rank_signature[2] >= b.rank_signature[2]
-        assert a.grade == b.grade + 1
+def _rank_below(a, b) -> bool:
+    """Whether b's signature differs from a's and no rank of b is higher."""
+    sa, sb = a.rank_signature, b.rank_signature
+    return sa != sb and all(rb <= ra for ra, rb in zip(sa, sb))
+
+
+def test_edges_are_the_covering_relations_of_the_rank_order():
+    # An edge drops one grade and covers: no class lies strictly between.
+    covers = {
+        (a, b)
+        for a, b in itertools.permutations(ALL_LABELS, 2)
+        if _rank_below(a, b) and not any(_rank_below(a, c) and _rank_below(c, b) for c in ALL_LABELS)
+    }
+    assert set(ec.hasse_edges()) == covers and len(ec.hasse_edges()) == len(covers) == 15
+    assert all(a.grade == b.grade + 1 for a, b in ec.hasse_edges())
+
+
+def test_reachable_is_the_transitive_closure_of_the_edges():
+    # The depth-first search over the shipped edges that the rank rule
+    # replaced, kept here as its reference on all 81 ordered pairs.
+    def closure(source):
+        seen, frontier = {source}, [source]
+        while frontier:
+            node = frontier.pop()
+            for a, b in ec.hasse_edges():
+                if a == node and b not in seen:
+                    seen.add(b)
+                    frontier.append(b)
+        return seen
+
+    for a in ALL_LABELS:
+        reached = closure(a)
+        for b in ALL_LABELS:
+            assert ec.reachable(a, b) == (b in reached), (a, b)
+            assert ec.reachable(a.display_name, b.name.lower()) == (b in reached)
+
+
+def test_each_impossible_conversion_has_one_obstruction():
+    # A local map raises no local rank (Dur-Vidal-Cirac 2000), and classes
+    # sharing a signature are SLOCC-inequivalent (Miyake 2003): every "no"
+    # is exactly one of the two.
+    rises, shared = [], []
+    for a, b in itertools.product(ALL_LABELS, repeat=2):
+        if ec.reachable(a, b):
+            continue
+        rise = any(rb > ra for ra, rb in zip(a.rank_signature, b.rank_signature))
+        same = a.rank_signature == b.rank_signature
+        assert rise != same, (a, b)
+        (rises if rise else shared).append((a.name, b.name))
+    assert len(rises) == 37
+    assert sorted(shared) == [("C223_DEG", "C223_GEN"), ("C223_GEN", "C223_DEG"), ("GHZ", "W"), ("W", "GHZ")]
 
 
 def test_reachability_examples():

@@ -117,6 +117,38 @@ def test_random_state_reproducible():
     assert not a.allclose(c)
 
 
+@pytest.mark.parametrize("dims", [(2, 0, 2), (2, -1, 2), (2, 2, 17), ()])
+def test_random_state_checks_dims_before_drawing(dims):
+    # A zero dimension once redrew zero normals forever: their squared norm
+    # never exceeds the floor. Every bad size now fails before any draw.
+    gen = ec.RandomSource(1).generator()
+    with pytest.raises(ec.FormatError, match="dims"):
+        ec.random_state(dims, gen)
+    assert gen.standard_normal() == ec.RandomSource(1).generator().standard_normal()
+
+
+@pytest.mark.parametrize("size", [2.7, 2.0, np.float64(2.0), True, "3"])
+def test_sizes_must_be_integers(size):
+    # int() once read 2.7 as 2 and True as 1 in dims; a float k failed
+    # inside numpy, and a string k in a comparison, both with TypeError.
+    dims, message = (2, size, 2), re.escape(f"dimension must be an integer, got {size!r}")
+    for build in (
+        lambda: ec.StateTensor(dims, np.ones(4)),
+        lambda: ec.make_state(dims, {(0, 0, 0): 1}),
+        lambda: ec.random_state(dims, ec.RandomSource(1)),
+    ):
+        with pytest.raises(ec.FormatError, match=message):
+            build()
+    for name in ("random_sl", "random_unitary", "random_povm_pair"):
+        with pytest.raises(ec.FormatError, match=re.escape(f"{name}'s k must be an integer, got {size!r}")):
+            getattr(ec, name)(size, ec.RandomSource(1))
+    with pytest.raises(ec.FormatError, match="k must be an integer"):
+        ec.equality_case_povm(size, 0.5)
+    # numpy integers are integers.
+    assert ec.random_state((2, np.int64(2), 2), ec.RandomSource(1)).dims == (2, 2, 2)
+    assert ec.random_sl(np.int32(2), ec.RandomSource(1)).shape == (2, 2)
+
+
 def test_random_source_substream():
     with pytest.raises(ValueError):
         ec.RandomSource(-1)

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import re
 import sys
 import types
 from pathlib import Path
@@ -43,6 +44,9 @@ def test_pre_pipeline_helpers_are_gone():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(ec.RandomSource, "substream")
     assert not hasattr(ec.partial_order(), "nodes")
+    # The rank rule decides reachability; the order keeps only its witnesses.
+    assert not hasattr(ec.PartialOrder, "is_reachable")
+    assert [f.name for f in dataclasses.fields(ec.PartialOrder)] == ["witnesses"]
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -68,3 +72,11 @@ def test_no_unused_imports():
             unused = [entry for entry in unused if entry.split()[-1] not in ec.__all__]
         found += unused
     assert found == []
+
+
+def test_readme_quick_start_runs():
+    # README's library quick start is code a reader pastes: it must run.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
