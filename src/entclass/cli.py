@@ -92,45 +92,68 @@ def render(value: Any, indent: int = 0) -> str:
     parts: list[str] = []
     emit = parts.append
 
-    def walk(value, pad):  # the commonest types are tested first
-        if isinstance(value, str):
+    def walk(value, pad):  # builtin types by exact type, the commonest first
+        kind = type(value)
+        if kind is str:
             return emit(_quote(value))
-        if isinstance(value, (float, np.floating)):
+        if kind is float:
             if not math.isfinite(value):
-                raise ValueError(f"cannot serialize non-finite float {float(value)}")
-            return emit(format(float(value), ".17g"))
-        if isinstance(value, dict):
-            items = [(_quote(str(k)) + ": ", value[k]) for k in sorted(value, key=str)]
-            ends = "{}"
-        elif isinstance(value, (list, tuple)):
-            items, ends = [("", v) for v in value], "[]"
-        elif isinstance(value, (bool, np.bool_)) or value is None:
+                raise ValueError(f"cannot serialize non-finite float {value}")
+            return emit(format(value, ".17g"))
+        if kind is dict:
+            if not value:
+                return emit("{}")
+            inner = pad + "  "
+            sep = "{\n" + inner
+            for k in sorted(value, key=str):
+                emit(sep + _quote(str(k)) + ": ")
+                walk(value[k], inner)
+                sep = ",\n" + inner
+            return emit("\n" + pad + "}")
+        if kind is list:
+            if not value:
+                return emit("[]")
+            inner = pad + "  "
+            sep = "[\n" + inner
+            for item in value:
+                emit(sep)
+                walk(item, inner)
+                sep = ",\n" + inner
+            return emit("\n" + pad + "]")
+        if kind is int:
+            return emit(str(value))
+        if kind is bool or value is None:
             return emit("null" if value is None else "true" if value else "false")
-        elif isinstance(value, (int, np.integer)):
-            return emit(str(int(value)))
-        elif isinstance(value, (complex, np.complexfloating)):
-            return walk({"re": float(value.real), "im": float(value.imag)}, pad)
-        else:
-            raise TypeError(f"cannot serialize {type(value)!r}")
-        if not items:
-            return emit(ends)
-        inner = pad + "  "
-        sep = ends[0] + "\n" + inner
-        for key, item in items:
-            emit(sep + key)
-            walk(item, inner)
-            sep = ",\n" + inner
-        emit("\n" + pad + ends[1])
+        return walk(_builtin(value), pad)
 
     walk(value, "  " * indent)
     return "".join(parts)
 
 
+def _builtin(value: Any) -> Any:
+    """The builtin value ``render`` writes for any other value: a subclass, a
+    numpy scalar, a tuple or a complex number. The first test it passes decides."""
+    if isinstance(value, str):
+        return str.__str__(value)
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize non-finite float {float(value)}")
+        return float(value)
+    if isinstance(value, dict):
+        return {k: value[k] for k in value}
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (complex, np.complexfloating)):
+        return {"re": float(value.real), "im": float(value.imag)}
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
 def _serialize_matrix(m: np.ndarray) -> dict:
-    return {
-        "re": [[float(x.real) for x in row] for row in m],
-        "im": [[float(x.imag) for x in row] for row in m],
-    }
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
 def _serialize_operation(op: LocalOperation | None) -> Any:
@@ -256,8 +279,9 @@ def state_document(psi: StateTensor, normalize: bool = True) -> dict:
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The process's one parser, built on first use; it keeps no request state."""
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The process's one parser and its subcommand parsers by name, built on
+    first use; they keep no request state."""
     parser = _Parser(prog="entclass", description=__doc__)
     parser.add_argument("--version", action="version", version=f"entclass {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -295,7 +319,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--dims", required=True)
     p.add_argument("--delta", type=int, default=None)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``'s namespace. An argv naming a subcommand first
+    goes straight to that subcommand's parser, as the top-level parser sends it;
+    ``_Parser.error`` drops ``prog``, so the messages are the same."""
+    parser, subparsers = _build_parser()
+    sub = subparsers.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args = sub.parse_args(argv[1:])
+    args.subcommand = argv[0]
+    return args
 
 
 def _flag_or_env(flag, name: str, cast, default):
@@ -446,7 +483,7 @@ def run(argv: Sequence[str]) -> int:
     """Execute one CLI invocation; returns its exit code, --help and --version too."""
     argv = list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
         if args.subcommand == "rep":
             return _cmd_rep(args)
         # The tolerances and the seed are read, and reported, only where a

@@ -143,7 +143,13 @@ class StateTensor:
         return abs(norm * norm - 1.0) <= atol
 
     def normalize(self) -> "StateTensor":
-        return StateTensor(self.dims, _unit_and_norm(self.amplitudes)[0])
+        # The unit array is fresh, finite, nonzero and of this shape (the scaling is
+        # exact and the norm it divides by is >= 1/2): frozen, not validated again.
+        unit = _unit_and_norm(self.amplitudes)[0]
+        unit.setflags(write=False)
+        psi = object.__new__(StateTensor)
+        vars(psi).update(dims=self.dims, amplitudes=unit)
+        return psi
 
     def require_normalized(self) -> None:
         """Raise unless the squared norm is within 1e-9 of 1."""
@@ -260,7 +266,10 @@ def make_state(
     amps = np.zeros(dims, dtype=complex)
     seen: set[tuple[int, ...]] = set()
     for index, value in entries:
-        idx = tuple(int(i) for i in index)
+        idx = tuple(
+            i if type(i) is int else _check_int("an index entry", i, FormatError)
+            for i in index
+        )
         if len(idx) != len(dims):
             raise FormatError(f"index {idx} has wrong arity for dims {dims}")
         if any(i < 0 or i >= k for i, k in zip(idx, dims)):

@@ -1,6 +1,7 @@
 """CLI subcommands: state files, reports, exit codes, determinism."""
 
 import contextlib
+import enum
 import hashlib
 import io
 import json
@@ -443,6 +444,67 @@ def test_help_and_version_return_zero(tmp_path, capsys):
     assert invoke(["classify", "--in", path], capsys) == (0, before, "")
 
 
+#: Argv for the route comparison: every subcommand's valid form and --help,
+#: and the usage errors argparse reports.
+_ROUTE_ARGV = [
+    ["classify", "--in", "state.json"],
+    ["classify", "--in", "-", "--distance-eps", "1e-12"],
+    ["invariants", "--in", "state.json", "--distance-eps=1e-11"],
+    ["monotone", "--measure", "det222", "--trials", "5"],
+    ["monotone", "--measure", "det223", "--trials", "5", "--seed", "3", "--party", "2"],
+    ["monotone", "--meas", "det222", "--trials", "5"],
+    ["order", "--from", "GHZ", "--to", "W"],
+    ["order", "--dump"],
+    ["swap"],
+    ["distill", "--target", "bell-ab"],
+    ["rep", "--class", "W", "--n", "3", "--out", "out.json"],
+    ["rep", "--class", "GHZ"],
+    ["dim", "--dims", "2,2,4", "--delta", "0"],
+    *([name, "--help"] for name in ("classify", "invariants", "monotone", "order", "swap",
+                                    "distill", "rep", "dim")),
+    ["swap", "-h"],
+    [],
+    ["--version"],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["--"],
+    ["--", "swap"],
+    ["swap", "--"],
+    ["--version", "swap"],
+    ["classify"],
+    ["classify", "--in"],
+    ["swap", "extra"],
+    ["classify", "--in", "state.json", "extra"],
+    ["classify", "--in", "state.json", "--distance-eps", "x"],
+    ["monotone", "--measure", "det222", "--trials", "x"],
+    ["monotone", "--measure", "det222", "--trials", "5", "--party", "4"],
+    ["monotone", "--measure", "nope", "--trials", "5"],
+    ["distill", "--target", "nope"],
+    ["classify", "--version"],
+    ["dim", "--dims"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """What one parse gives: the namespace's fields, or the exception raised
+    with what it printed."""
+    try:
+        result = ("namespace", vars(parse(argv)))
+    except (cli.UsageError, cli._Exit) as exc:
+        result = (type(exc), exc.args)
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", _ROUTE_ARGV, ids=" ".join)
+def test_direct_route_parses_as_the_top_level_parser(argv, capsys, monkeypatch):
+    parser, subparsers = cli._build_parser()
+    want = _parse_outcome(parser.parse_args, list(argv), capsys)
+    if argv and argv[0] in subparsers:  # the top-level parser must not run
+        monkeypatch.setattr(parser, "parse_args", None)
+    assert _parse_outcome(cli._parse, list(argv), capsys) == want
+
+
 def test_cached_parser_carries_no_state_between_requests(tmp_path, capsys, monkeypatch):
     assert cli._build_parser() is cli._build_parser()
     path = write_state(tmp_path, ec.representative("C223_GEN", 3))
@@ -542,6 +604,115 @@ def test_render_pins_every_value_type():
             render({"x": bad})
     with pytest.raises(TypeError, match="ndarray"):
         render({"x": np.zeros(2)})
+
+
+def reference_render(value, indent=0):
+    """``render`` as an ``isinstance`` walk, the form it had before it
+    dispatched on exact builtin types; the reference for the test below."""
+    parts = []
+    emit = parts.append
+
+    def walk(value, pad):
+        if isinstance(value, str):
+            return emit(cli._quote(value))
+        if isinstance(value, (float, np.floating)):
+            if not math.isfinite(value):
+                raise ValueError(f"cannot serialize non-finite float {float(value)}")
+            return emit(format(float(value), ".17g"))
+        if isinstance(value, dict):
+            items = [(cli._quote(str(k)) + ": ", value[k]) for k in sorted(value, key=str)]
+            ends = "{}"
+        elif isinstance(value, (list, tuple)):
+            items, ends = [("", v) for v in value], "[]"
+        elif isinstance(value, (bool, np.bool_)) or value is None:
+            return emit("null" if value is None else "true" if value else "false")
+        elif isinstance(value, (int, np.integer)):
+            return emit(str(int(value)))
+        elif isinstance(value, (complex, np.complexfloating)):
+            return walk({"re": float(value.real), "im": float(value.imag)}, pad)
+        else:
+            raise TypeError(f"cannot serialize {type(value)!r}")
+        if not items:
+            return emit(ends)
+        inner = pad + "  "
+        sep = ends[0] + "\n" + inner
+        for key, item in items:
+            emit(sep + key)
+            walk(item, inner)
+            sep = ",\n" + inner
+        emit("\n" + pad + ends[1])
+
+    walk(value, "  " * indent)
+    return "".join(parts)
+
+
+class _Text(str):
+    def __str__(self):  # neither render reads it
+        return "not the text"
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _Party(enum.IntEnum):
+    CLARE = 3
+
+
+#: Leaves for the renderer comparison: the edge floats and ints, non-ASCII
+#: text, subclasses and numpy scalars.
+_LEAVES = [
+    "", "plain", 'Grüße "q" \\ → \U0001d11e', "tab\tnew\nline\x00", _Text("sub"), _Text("é"),
+    0, -7, 2**64, 2**64 + 1, -(2**70), 10**40, _Int(5), _Party.CLARE,
+    0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1 / 3, 1e22, _Float(2.5), _Float(-0.0),
+    np.float64(-0.0), np.float64(0.1), np.float32(0.1), np.int64(-(2**63)), np.uint64(2**64 - 1),
+    np.bool_(True), np.bool_(False), True, False, None,
+    1 - 0.5j, complex(-0.0, 5e-324), np.complex128(2 + 3j),
+]
+
+
+def _random_value(gen, depth):
+    """A seeded nested value: dicts (and a subclass) with int and str keys,
+    lists, tuples and leaves."""
+    kind = int(gen.integers(0, 6 if depth else 1))
+    if kind == 0 or kind > 3:
+        return _LEAVES[int(gen.integers(0, len(_LEAVES)))]
+    size = int(gen.integers(0, 5))
+    items = [_random_value(gen, depth - 1) for _ in range(size)]
+    if kind == 1:
+        return items
+    if kind == 2:
+        return tuple(items)
+    keys = [str(gen.integers(0, 20)) if gen.random() < 0.5 else int(gen.integers(-5, 20)) for _ in items]
+    return (_Dict if gen.random() < 0.3 else dict)(zip(keys, items))
+
+
+def test_render_matches_the_isinstance_walk(gen):
+    for trial in range(400):
+        value = _random_value(gen, 4)
+        for indent in (0, 1, 3):
+            assert render(value, indent) == reference_render(value, indent), (trial, value)
+    for leaf in _LEAVES:
+        assert render({"k": [leaf, (leaf,)]}) == reference_render({"k": [leaf, (leaf,)]})
+    bad = [math.nan, -math.inf, np.float64(math.inf), np.float32(math.nan), _Float("nan"),
+           complex(1, math.nan), np.complex128(complex(math.inf, 0)),
+           np.zeros(2), object(), {1, 2}, b"bytes"]
+    for leaf in bad:
+        for value in (leaf, [1, {"a": (2, leaf)}]):
+            errors = []
+            for fn in (render, reference_render):
+                with pytest.raises((ValueError, TypeError)) as info:
+                    fn(value)
+                errors.append((info.type, str(info.value)))
+            assert errors[0] == errors[1], leaf
 
 
 def test_rep_stdout_pipes_into_classify(capsys, tmp_path, monkeypatch):

@@ -24,6 +24,7 @@ from conftest import (
     svd_rank,
     times_two_to,
 )
+from entclass.tensor import _unit_and_norm
 
 
 def test_make_state_ghz_unnormalized():
@@ -47,6 +48,18 @@ def test_make_state_duplicate_index_rejected():
 def test_make_state_index_out_of_range():
     with pytest.raises(FormatError, match="out of range"):
         ec.make_state((2, 2, 2), [((0, 0, 2), 1)])
+
+
+@pytest.mark.parametrize("bad", [0.7, 1.9, True, "1"], ids=repr)
+def test_make_state_rejects_non_integer_indices(bad):
+    # int() would truncate these to a valid index: 0.7 and 1.9 to 0 and 1.
+    with pytest.raises(FormatError, match=f"must be an integer, got {bad!r}"):
+        ec.make_state((2, 2, 2), {(0, 0, 0): 1, (1, bad, 1): 1})
+
+
+def test_make_state_accepts_numpy_integer_indices():
+    psi = ec.make_state((2, 2, 3), {(np.int64(1), np.int32(0), np.uint8(2)): 1j})
+    assert psi.amplitudes[1, 0, 2] == 1j and np.count_nonzero(psi.amplitudes) == 1
 
 
 def test_make_state_all_zero_rejected():
@@ -352,6 +365,24 @@ def test_normalize_when_the_norm_overflows(name, scale):
     assert huge.norm == math.inf
     phase = scale / scale.real / abs(scale / scale.real)
     assert huge.normalize().allclose(ec.StateTensor(psi.dims, psi.amplitudes * phase), atol=1e-15)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, n) for n in range(1, 17)] + [(3,)], ids=str)
+def test_normalize_is_the_unit_array_frozen(dims, gen):
+    # normalize() builds its result from _unit_and_norm's fresh array without
+    # validating it again: the same bits as the validating constructor, read-only,
+    # sharing no memory with the input, and with the input's dims tuple.
+    for e in (-1074, -1060, -1022, -300, -1, 0, 1, 300, 1000, 1023):
+        draw = gen.standard_normal(dims) + 1j * gen.standard_normal(dims)
+        a = draw / np.abs(draw.view(float)).max() * 2.0**e  # largest part exactly 2**e
+        psi = ec.StateTensor(dims, a)
+        unit = psi.normalize()
+        want = ec.StateTensor(dims, _unit_and_norm(psi.amplitudes)[0])
+        assert unit.amplitudes.tobytes() == want.amplitudes.tobytes(), e
+        assert not unit.amplitudes.flags.writeable
+        assert not np.shares_memory(unit.amplitudes, psi.amplitudes)
+        assert not np.shares_memory(unit.amplitudes, a)
+        assert unit.dims is psi.dims and unit.amplitudes.shape == dims
 
 
 @pytest.mark.parametrize("scale", EDGE_SCALES)
