@@ -23,7 +23,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import det as _det, eigvalsh_lo as _eigvalsh_lo, svd as _svd, svd_s as _svd_s
 
 from .errors import FormatError, NumericalInstabilityError
-from .numerics import DEFAULT_POLICY, ZERO_FLOOR, TolerancePolicy, _eig_failed, _lapack
+from .numerics import DEFAULT_POLICY, ZERO_FLOOR, TolerancePolicy, _eig_failed, _errstate, _lapack, _svd_failed
 from .tensor import (
     DensityMatrix,
     StateTensor,
@@ -69,9 +69,8 @@ def _magic_basis_selftest() -> int:
 
 #: +1 or -1; established once at import.
 BILINEAR_SIGN = _magic_basis_selftest()
-#: BILINEAR_SIGN * SPIN_FLIP, complex so that products with amplitudes need no cast.
-_SIGNED_FLIP = (BILINEAR_SIGN * SPIN_FLIP).astype(complex)
-_SIGNED_FLIP.setflags(write=False)
+#: BILINEAR_SIGN * SPIN_FLIP @ f is f's rows reversed times these signs.
+_FLIP_SIGNS = BILINEAR_SIGN * np.array([[1.0], [-1.0], [-1.0], [1.0]])
 
 
 @dataclass(frozen=True)
@@ -146,6 +145,8 @@ def _require_format(psi: StateTensor, n: int | None = None) -> None:
 
 #: float64 machine epsilon, the unit of the density-route error band.
 _EPS = float(np.finfo(float).eps)
+#: The quantity each local-rank decision names in an AmbiguityError.
+_RANK_NAMES = ("local rank r1", "local rank r2", "local rank r3")
 
 
 def _qubit_spectrum(gram) -> tuple[float, float]:
@@ -162,12 +163,12 @@ def _qubit_spectrum(gram) -> tuple[float, float]:
     return (p * q - b * b) / top, top
 
 
-def _local_spectra(amps: np.ndarray, policy: TolerancePolicy):
-    """Local ranks of a normalized (2, 2, n) amplitude array (the count of
-    each unfolding's descending singular values the policy decides nonzero),
-    the smallest singular value they keep, and the reduced SVD (u, s) of the
-    flattened state (the transpose of Clare's unfolding). Alice's and Bob's
-    unfoldings share one SVD.
+def _local_spectra(f: np.ndarray, pair: np.ndarray, singular, policy: TolerancePolicy):
+    """Local ranks of a normalized state, given its flattened 4 x n amplitude
+    matrix ``f``, the stacked Alice/Bob unfoldings ``pair`` and each
+    unfolding's descending singular values (Alice's, Bob's, Clare's, as
+    lists): the count of each that the policy decides nonzero, and the
+    smallest singular value they keep.
 
     Each rank is checked against the eigenvalues lambda of the party's k x k
     reduced density: closed form for each 2x2 density (Alice's, Bob's, and
@@ -175,10 +176,6 @@ def _local_spectra(amps: np.ndarray, policy: TolerancePolicy):
     8 k eps lambda_0, they bound the rank below by #{lambda > t^2 + delta} for
     the tolerance t; no upper count could fire, as unit trace gives lambda_0
     >= 1/k, so delta >= 8 eps > t^2 for every allowed t <= 1e-8."""
-    f = amps.reshape(4, -1)
-    u, s, _ = _lapack(_svd_s, f, signature="D->DdD")
-    pair = np.concatenate((amps, amps.transpose(1, 0, 2))).reshape(2, 2, -1)
-    singular = _lapack(_svd, pair).tolist() + [s.tolist()]
     grams = (pair @ pair.conj().transpose(0, 2, 1)).tolist()
     rho = f.T @ f.conj()  # Clare's reduced density, transposed
     clare = (_qubit_spectrum(rho.tolist()) if len(rho) == 2
@@ -186,9 +183,9 @@ def _local_spectra(amps: np.ndarray, policy: TolerancePolicy):
     density = [*map(_qubit_spectrum, grams), clare]
     thr_sq = policy.distance_eps**2
     ranks, kept = [], math.inf
-    for party, (svals, eigs) in enumerate(zip(singular, density)):
+    for party, (name, svals, eigs) in enumerate(zip(_RANK_NAMES, singular, density)):
         rank, low, k = 0, 0, len(eigs)
-        while rank < len(svals) and policy.nonzero(f"local rank r{party + 1}", svals[rank]):
+        while rank < len(svals) and policy.nonzero(name, svals[rank]):
             rank += 1
         delta = 8 * k * _EPS * eigs[-1]
         for e in eigs:
@@ -200,29 +197,26 @@ def _local_spectra(amps: np.ndarray, policy: TolerancePolicy):
             )
         ranks.append(rank)
         kept = min(kept, svals[rank - 1])  # s_max >= 1/2 of a unit state: rank >= 1
-    return tuple(ranks), kept, u, s
+    return tuple(ranks), kept
 
 
-def _rank_rtr(f: np.ndarray, policy: TolerancePolicy):
-    """Rank (the count above the policy's tolerance; it decides no class) and
-    descending singular values of R^T R for the flattened 4xn amplitude
-    matrix ``f`` of a normalized state.
-
-    R^T R is computed both from the magic-basis image and directly as the
-    spin-flip bilinear form on ``f``; the two n x n matrices must agree (up
-    to the sign fixed at import), else the call fails rather than return a
-    silently unstable invariant.
-    """
+def _rtr(f: np.ndarray) -> np.ndarray:
+    """R^T R for the flattened 4 x n amplitude matrix ``f`` of a normalized
+    state, from its magic-basis image R = MAGIC_BASIS f. It is checked against
+    the spin-flip bilinear form on ``f``: the two n x n matrices must agree
+    (up to the sign fixed at import), else the call fails rather than return
+    a silently unstable invariant. ``invariant_report`` takes its descending
+    singular values in its LAPACK block, and its rank is their count above
+    the policy's tolerance (the rank decides no class)."""
     r = MAGIC_BASIS @ f
     via_magic = r.T @ r
-    deviation = abs(via_magic - f.T @ (_SIGNED_FLIP @ f)).max()
+    deviation = abs(via_magic - f.T @ (f[::-1] * _FLIP_SIGNS)).max()
     if deviation > 1e-10:
         raise NumericalInstabilityError(
             "magic-basis and spin-flip routes to R^T R disagree: max deviation "
             f"{deviation:.3g} exceeds the bound 1e-10"
         )
-    svals = _lapack(_svd, via_magic).tolist()
-    return sum(x > policy.distance_eps for x in svals), tuple(svals)
+    return via_magic
 
 
 def _det_distance(cols, s) -> tuple[complex, float]:
@@ -377,16 +371,27 @@ def invariant_report(
 
     The state is normalized by one exact power-of-two scaling, so psi * 2**k
     changes only ``norm``, the original 2-norm (inf above the float range).
-    The SVD F = U diag(s) V^dagger of the flattened state gives Clare's rank
-    r3 and, via her unitary V^T, the rank-adjusted state U[:, :r3] diag(s[:r3])
-    zero-padded to 2 or 3 levels, on which the determinants are evaluated,
-    literally and by ``_det_distance``: routes further apart than ZERO_FLOOR
-    raise NumericalInstabilityError.
+    Three steps: build the operands (the flattened state, the stacked
+    Alice/Bob unfoldings, the cross-checked R^T R); take their three SVDs in
+    one LAPACK block under the errstate np.linalg sets, which covers nothing
+    else; decide and check on Python numbers. The SVD F = U diag(s) V^dagger
+    of the flattened state gives Clare's rank r3 and, via her unitary V^T,
+    the rank-adjusted state U[:, :r3] diag(s[:r3]) zero-padded to 2 or 3
+    levels, on which the determinants are evaluated, literally and by
+    ``_det_distance``: routes further apart than ZERO_FLOOR raise
+    NumericalInstabilityError.
     """
     _require_format(psi)
     amps, norm = _unit_and_norm(psi.amplitudes)
-    ranks, kept, u, s = _local_spectra(amps, policy)
-    rank_rtr, svals_rtr = _rank_rtr(amps.reshape(4, -1), policy)
+    f = amps.reshape(4, -1)
+    pair = np.concatenate((amps, amps.transpose(1, 0, 2))).reshape(2, 2, -1)
+    rtr = _rtr(f)
+    with _errstate(_svd_failed):  # the gufunc calls only
+        u, s, _ = _lapack(_svd_s, f, signature="D->DdD", fail=None)
+        singular = _lapack(_svd, pair, fail=None).tolist()
+        svals_rtr = tuple(_lapack(_svd, rtr, fail=None).tolist())
+    ranks, kept = _local_spectra(f, pair, singular + [s.tolist()], policy)
+    rank_rtr = sum(x > policy.distance_eps for x in svals_rtr)
     distances = {"local_ranks": kept}
     # Adjusted states have unit norm, up to the dropped sub-threshold weight.
     r3 = ranks[2]

@@ -78,16 +78,24 @@ def _qr_failed(err, flag):
     raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
 
 
+def _errstate(fail):
+    """The errstate np.linalg sets around a LAPACK gufunc: ``fail`` is called
+    when it sets the invalid flag; overflow, division and underflow pass."""
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
 def _lapack(gufunc, *operands, signature="D->d", fail=_svd_failed):
     """``gufunc(*operands, signature=signature)`` for one of np.linalg's own
-    LAPACK gufuncs under the errstate np.linalg sets around it (``fail=None``:
-    none, as for det): np.linalg's bits and errors, without its per-call
-    array, shape and dtype checks, which cost as much as the call on the
-    library's small complex inputs. Cold paths keep np.linalg: their wrapper
-    cost is on no workload's per-operation path."""
+    LAPACK gufuncs under ``_errstate(fail)``: np.linalg's bits and errors,
+    without its per-call array, shape and dtype checks, which cost as much as
+    the call on the library's small complex inputs. ``fail=None`` sets no
+    errstate: the call runs in the caller's, as det does (np.linalg.det sets
+    none) and as ``invariant_report``'s three SVDs do under one
+    ``_errstate(_svd_failed)``. Concurrence, the density check and
+    ``_is_invertible`` keep np.linalg's wrapper."""
     if fail is None:
         return gufunc(*operands, signature=signature)
-    with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"):
+    with _errstate(fail):
         return gufunc(*operands, signature=signature)
 
 

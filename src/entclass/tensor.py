@@ -83,7 +83,8 @@ def _scaled_norm(amplitudes: np.ndarray) -> tuple[np.ndarray, float, float, floa
     parts = amplitudes.view(float)
     e = math.frexp(float(np.abs(parts).max()))[1]
     scaled = np.ldexp(parts, -e).view(complex)
-    rest = float(np.linalg.norm(scaled))
+    x = scaled.ravel()  # np.linalg.norm's sum; raveling the parts would move bits
+    rest = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
     m, shift = math.frexp(rest)
     e += shift
     return scaled, rest, math.ldexp(m, e) if e <= 1024 else math.inf, m, e
@@ -93,6 +94,22 @@ def _unit_and_norm(amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
     """``(unit, norm)``: the amplitudes over their 2-norm, and the norm."""
     scaled, rest, norm = _scaled_norm(amplitudes)[:3]
     return scaled / rest, norm
+
+
+def _check_values(amps: np.ndarray) -> None:
+    if not np.isfinite(amps).all():
+        raise FormatError("amplitudes contain non-finite entries")
+    if not amps.any():
+        raise ZeroStateError("the zero tensor is not a state")
+
+
+def _frozen_state(dims: tuple[int, ...], amps: np.ndarray) -> "StateTensor":
+    """A state around a fresh complex array of shape ``dims`` that its caller
+    owns and has checked: frozen in place, not copied or checked again."""
+    amps.setflags(write=False)
+    psi = object.__new__(StateTensor)
+    vars(psi).update(dims=dims, amplitudes=amps)
+    return psi
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,10 +135,7 @@ class StateTensor:
                 raise FormatError(
                     f"amplitude array of size {amps.size} does not fill dims {dims}"
                 )
-        if not np.isfinite(amps).all():
-            raise FormatError("amplitudes contain non-finite entries")
-        if not amps.any():
-            raise ZeroStateError("the zero tensor is not a state")
+        _check_values(amps)
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
@@ -145,11 +159,7 @@ class StateTensor:
     def normalize(self) -> "StateTensor":
         # The unit array is fresh, finite, nonzero and of this shape (the scaling is
         # exact and the norm it divides by is >= 1/2): frozen, not validated again.
-        unit = _unit_and_norm(self.amplitudes)[0]
-        unit.setflags(write=False)
-        psi = object.__new__(StateTensor)
-        vars(psi).update(dims=self.dims, amplitudes=unit)
-        return psi
+        return _frozen_state(self.dims, _unit_and_norm(self.amplitudes)[0])
 
     def require_normalized(self) -> None:
         """Raise unless the squared norm is within 1e-9 of 1."""
@@ -198,12 +208,14 @@ class LocalOperation:
 
     @classmethod
     def identity(cls, dims: Sequence[int]) -> "LocalOperation":
-        return cls(tuple(np.eye(int(k), dtype=complex) for k in dims))
+        return cls(tuple(np.eye(k, dtype=complex) for k in _checked_dims(dims)))
 
     @classmethod
     def single_party(cls, dims: Sequence[int], party: int, matrix) -> "LocalOperation":
-        """Embed one factor at ``party``, identity elsewhere."""
-        factors = [np.eye(int(k), dtype=complex) for k in dims]
+        """Embed one factor at ``party`` (0-based), identity elsewhere."""
+        factors = [np.eye(k, dtype=complex) for k in _checked_dims(dims)]
+        if not 0 <= _check_int("party", party, FormatError) < len(factors):
+            raise FormatError(f"party {party} out of range for {len(factors)} parties")
         factors[party] = np.asarray(matrix, dtype=complex)
         return cls(tuple(factors))
 
@@ -278,7 +290,8 @@ def make_state(
             raise FormatError(f"duplicate index tuple {idx}")
         seen.add(idx)
         amps[idx] = complex(value)
-    return StateTensor(dims, amps)
+    _check_values(amps)
+    return _frozen_state(dims, amps)
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -310,7 +323,7 @@ def representative(label: ClassLabel | str, n: int | None = None) -> StateTensor
     is the smallest such n.
     """
     label = ClassLabel.parse(label)
-    n = max(2, label.min_clare_dim) if n is None else int(n)
+    n = max(2, label.min_clare_dim) if n is None else _check_int("n", n, FormatError)
     if n < 2:
         raise FormatError(f"representative requires n >= 2, got {n}")
     needed = label.min_clare_dim

@@ -177,6 +177,13 @@ def test_rtr_route_disagreement_reports_its_numbers(monkeypatch):
     assert "bound 1e-10" in str(err.value)
 
 
+def test_signed_reversal_is_the_spin_flip_product(gen):
+    # BILINEAR_SIGN * SPIN_FLIP @ f is f's rows reversed times fixed signs.
+    for n in range(1, 17):
+        f = gen.standard_normal((4, n)) + 1j * gen.standard_normal((4, n))
+        assert np.array_equal(f[::-1] * invariants._FLIP_SIGNS, ec.BILINEAR_SIGN * ec.SPIN_FLIP @ f)
+
+
 # ---------------------------------------------------------------------------
 # hyperdeterminants
 
@@ -521,6 +528,55 @@ def test_lapack_failure_raises_numpys_error():
         invariants._lapack(np.sqrt, np.array([-1.0]), signature="d->d", fail=invariants._eig_failed)
     with pytest.raises(np.linalg.LinAlgError, match="^Incorrect argument found while performing QR"):
         invariants._lapack(np.sqrt, np.array([-1.0]), signature="d->d", fail=numerics._qr_failed)
+
+
+def _failing_lapack(position, monkeypatch):
+    """Patch ``invariants._lapack`` so that its ``position``-th call (1-based)
+    runs the real gufunc and then sets the invalid flag, as a gufunc that did
+    not converge does; returns the gufunc names called, in order."""
+    lapack, names = invariants._lapack, []
+
+    def counted(gufunc, *operands, **kwargs):
+        names.append(gufunc.__name__)
+        if len(names) == position:
+            def failing(*args, signature):
+                out = gufunc(*args, signature=signature)
+                np.sqrt(np.array([-1.0]))
+                return out
+            return lapack(failing, *operands, **kwargs)
+        return lapack(gufunc, *operands, **kwargs)
+
+    monkeypatch.setattr(invariants, "_lapack", counted)
+    return names
+
+
+@pytest.mark.parametrize("position", [1, 2, 3])
+def test_each_svd_of_the_block_raises_on_the_invalid_flag(position, monkeypatch):
+    names = _failing_lapack(position, monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+        ec.invariant_report(rep("GHZ"))
+    assert names == ["svd_s", "svd", "svd"][:position]
+
+
+def test_eigvalsh_keeps_its_own_failure_message(monkeypatch):
+    names = _failing_lapack(4, monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+        ec.invariant_report(ec.representative("C223_GEN", 3))
+    assert names == ["svd_s", "svd", "svd", "eigvalsh_lo"]
+
+
+def test_invalid_value_outside_the_block_is_no_lapack_error(monkeypatch):
+    # Only the gufunc calls run under the failure callback: an invalid value
+    # in the density band is numpy's own floating-point error.
+    spectrum = invariants._qubit_spectrum
+
+    def invalid(gram):
+        np.sqrt(np.array([-1.0]))
+        return spectrum(gram)
+
+    monkeypatch.setattr(invariants, "_qubit_spectrum", invalid)
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        ec.invariant_report(rep("GHZ"))
 
 
 def _public_lapack(gufunc, a, signature="D->d", fail=None):

@@ -19,8 +19,8 @@ POLICY = ec.DEFAULT_POLICY
 def counted(monkeypatch):
     """Count the kernel's LAPACK gufunc calls at ``invariants._lapack``, by
     gufunc name, the np.linalg wrappers the kernel no longer calls, and
-    apply_local calls through any binding."""
-    counts = dict.fromkeys(["svd_s", "svd", "eigvalsh_lo", "det", "apply_local"], 0)
+    apply_local calls through any binding, and np.errstate entries."""
+    counts = dict.fromkeys(["svd_s", "svd", "eigvalsh_lo", "det", "apply_local", "errstate"], 0)
     counts.update({f"np.linalg.{name}": 0 for name in ("svd", "eigvalsh", "det")})
 
     def counting(name, fn):
@@ -37,6 +37,13 @@ def counted(monkeypatch):
         return lapack(gufunc, *args, **kwargs)
 
     monkeypatch.setattr(ec.invariants, "_lapack", counting_lapack)
+
+    class CountingErrstate(np.errstate):
+        def __enter__(self):
+            counts["errstate"] += 1
+            return super().__enter__()
+
+    monkeypatch.setattr(np, "errstate", CountingErrstate)
     for name in ("svd", "eigvalsh", "det"):
         monkeypatch.setattr(np.linalg, name, counting(f"np.linalg.{name}", getattr(np.linalg, name)))
     original = ec.tensor.apply_local
@@ -53,8 +60,9 @@ def counted(monkeypatch):
 def test_classify_call_budget(label, n, counted):
     psi = ec.representative(label, natural_n(label) if n is None else n)
     assert ec.classify(psi)[0] == label
-    assert counted["svd_s"] + counted["svd"] <= 3
+    assert (counted["svd_s"], counted["svd"]) == (1, 2)
     assert counted["eigvalsh_lo"] == (psi.dims[2] != 2)  # Clare's 2x2 density is closed form
+    assert counted["errstate"] == 1 + counted["eigvalsh_lo"]  # the SVD block's, eigvalsh's own
     assert counted["det"] == (label.rank_signature[2] == 3)  # the stacked det223 minors
     assert counted["np.linalg.svd"] == counted["np.linalg.eigvalsh"] == counted["np.linalg.det"] == 0
     assert counted["apply_local"] == 0

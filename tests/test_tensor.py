@@ -24,7 +24,7 @@ from conftest import (
     svd_rank,
     times_two_to,
 )
-from entclass.tensor import _unit_and_norm
+from entclass.tensor import _scaled_norm, _unit_and_norm
 
 
 def test_make_state_ghz_unnormalized():
@@ -67,6 +67,38 @@ def test_make_state_all_zero_rejected():
         ec.make_state((2, 2), [((0, 0), 0.0)])
 
 
+@pytest.mark.parametrize("dims", [(2, 2, n) for n in range(1, 17)] + [(3,)], ids=str)
+def test_make_state_is_the_filled_array_frozen(dims, gen):
+    # make_state freezes the array it fills without building the state again:
+    # the same bytes as the validating constructor, read-only, sharing no
+    # memory with its input, with the checked dims tuple.
+    values = gen.standard_normal(math.prod(dims)) + 1j * gen.standard_normal(math.prod(dims))
+    values[::3] = 0
+    values[1] = 1.0  # nonzero at every size
+    psi = ec.make_state(dims, zip(np.ndindex(dims), values))
+    want = ec.StateTensor(dims, values.reshape(dims))
+    assert psi.amplitudes.tobytes() == want.amplitudes.tobytes()
+    assert psi.amplitudes.shape == dims and psi.amplitudes.dtype == complex
+    assert not psi.amplitudes.flags.writeable
+    assert not np.shares_memory(psi.amplitudes, values)
+    assert type(psi) is ec.StateTensor and psi.dims == dims and type(psi.dims) is tuple
+
+
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        (math.inf, FormatError, "amplitudes contain non-finite entries"),
+        (complex(0, -math.inf), FormatError, "amplitudes contain non-finite entries"),
+        (math.nan, FormatError, "amplitudes contain non-finite entries"),
+        (0.0, ZeroStateError, "the zero tensor is not a state"),
+    ],
+    ids=repr,
+)
+def test_make_state_rejects_non_finite_and_zero_amplitudes(value, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        ec.make_state((2, 2, 3), {(0, 0, 0): value, (1, 1, 2): 0})
+
+
 def test_dims_cap_enforced():
     with pytest.raises(FormatError):
         ec.make_state((2, 2, 17), [((0, 0, 0), 1)])
@@ -106,6 +138,48 @@ def test_representative_defaults_to_smallest_n(label):
 def test_representative_label_n_incompatible(label, n):
     with pytest.raises(FormatError):
         ec.representative(label, n)
+
+
+@pytest.mark.parametrize("bad", [3.7, 3.0, "3", True], ids=repr)
+def test_representative_rejects_non_integer_n(bad):
+    # int() made (2, 2, 3) of 3.7 and "3", and n = 1 of True.
+    with pytest.raises(FormatError, match=f"^n must be an integer, got {bad!r}$"):
+        ec.representative("W", bad)
+
+
+def test_representative_accepts_numpy_integer_n():
+    assert ec.representative("W", np.int64(3)).dims == (2, 2, 3)
+    assert ec.representative("GHZ", np.uint8(2)).allclose(ec.representative("GHZ", 2), atol=0)
+
+
+@pytest.mark.parametrize("party", [-1, -3, 3, 5])
+def test_single_party_rejects_a_party_out_of_range(party):
+    # -1 used to put the factor on Clare; 5 raised a bare IndexError.
+    with pytest.raises(FormatError, match=f"^party {party} out of range for 3 parties$"):
+        ec.LocalOperation.single_party((2, 2, 3), party, np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [2.0, 1.5, "2", True], ids=repr)
+def test_single_party_rejects_a_non_integer_party(bad):
+    with pytest.raises(FormatError, match=f"^party must be an integer, got {bad!r}$"):
+        ec.LocalOperation.single_party((2, 2, 3), bad, np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [2.7, "2", True], ids=repr)
+def test_local_operation_dims_must_be_integers(bad):
+    message = f"^a party dimension must be an integer, got {bad!r}$"
+    with pytest.raises(FormatError, match=message):
+        ec.LocalOperation.identity((2, bad, 3))
+    with pytest.raises(FormatError, match=message):
+        ec.LocalOperation.single_party((2, bad, 3), 0, np.eye(2))
+
+
+def test_local_operation_accepts_numpy_integers():
+    dims = (np.int64(2), np.int32(2), np.uint8(3))
+    op = ec.LocalOperation.single_party(dims, np.int64(2), np.ones((3, 3)))
+    assert [m.shape for m in op.factors] == [(2, 2), (2, 2), (3, 3)]
+    assert op.factors[2].sum() == 9
+    assert [m.shape for m in ec.LocalOperation.identity(dims).factors] == [(2, 2), (2, 2), (3, 3)]
 
 
 def test_apply_local_identity_fixes_ghz():
@@ -383,6 +457,17 @@ def test_normalize_is_the_unit_array_frozen(dims, gen):
         assert not np.shares_memory(unit.amplitudes, psi.amplitudes)
         assert not np.shares_memory(unit.amplitudes, a)
         assert unit.dims is psi.dims and unit.amplitudes.shape == dims
+
+
+@pytest.mark.parametrize("dims", [(2, 2, n) for n in range(1, 17)] + [(3,)], ids=str)
+def test_scaled_norm_is_numpys_norm(dims, gen):
+    # _scaled_norm sums the squares as np.linalg.norm does, bit for bit.
+    for e in (-1074, -1060, -1022, -300, -1, 0, 1, 300, 1000, 1023):
+        draw = gen.standard_normal(dims) + 1j * gen.standard_normal(dims)
+        a = draw / np.abs(draw.view(float)).max() * 2.0**e  # largest part exactly 2**e
+        scaled, rest = _scaled_norm(a)[:2]
+        assert type(rest) is float
+        assert rest.hex() == float(np.linalg.norm(scaled)).hex(), e
 
 
 @pytest.mark.parametrize("scale", EDGE_SCALES)
