@@ -397,15 +397,15 @@ def invariant_report(
     r3 = ranks[2]
     det222_val = det223_val = None
     if r3 <= 3:
-        f, weights = u[:, :r3] * s[:r3], s.tolist()[:r3] + [0.0] * (2 - r3)
+        adjusted, weights = u[:, :r3] * s[:r3], s.tolist()[:r3] + [0.0] * (2 - r3)
         if r3 <= 2:
-            p = [x for row in f.tolist() for x in row + [0j] * (2 - r3)]
+            p = [x for row in adjusted.tolist() for x in row + [0j] * (2 - r3)]
             route, distances["det222"] = _det_distance((p[0::2], p[1::2]), weights)
             literal = det222_val = _det222(p)
             det223_val, distances["det223"] = 0j, 0.0
         else:
-            route, distances["det223"] = _det_distance(f.T.tolist(), weights)
-            literal = det223_val = complex(_det223(f.reshape(2, 2, 3)))
+            route, distances["det223"] = _det_distance(adjusted.T.tolist(), weights)
+            literal = det223_val = complex(_det223(adjusted.reshape(2, 2, 3)))
         if abs(literal - route) > ZERO_FLOOR:
             raise NumericalInstabilityError(
                 f"literal Det{'222' if r3 <= 2 else '223'} {literal:.6g} and its -det A route "
