@@ -367,6 +367,25 @@ def test_witness_map_all_reachable_pairs():
                 assert ec.witness_map(a, b) is None
 
 
+#: Each reachable pair's composite witness as values: the class chain, each
+#: factor's real and imaginary entries and the factors' invertible flags.
+WITNESS_VALUES = json.loads(Path(__file__).with_name("witness_values.json").read_text())
+
+
+def test_composite_witnesses_are_the_pinned_values():
+    got = {}
+    for a, b in itertools.product(ALL_LABELS, repeat=2):
+        w = ec.witness_map(a, b)
+        if w is not None:
+            got[f"{a.name} -> {b.name}"] = {
+                "chain": [c.name for c in ec.witness_chain(a, b)],
+                "real": [m.real.tolist() for m in w.factors],
+                "imag": [m.imag.tolist() for m in w.factors],
+                "invertible": list(w.invertible),
+            }
+    assert len(got) == 31 and got == WITNESS_VALUES
+
+
 def test_longest_chain_has_five_nodes():
     order = partial_order()
     best = {}
