@@ -15,7 +15,10 @@ Cirac, PRA 62, 062314, 2000), and two classes that share a signature, W and
 GHZ or 223-degenerate and 223-generic, are SLOCC-inequivalent (Miyake, PRA 67,
 012108, 2003). Each covering edge ships one executable witness: a concrete
 rank-dropping operation sending the upper class representative into the
-lower class. Longer conversions compose edge witnesses.
+lower class. A longer conversion needs no search: from each class it takes
+the first covering edge whose lower class still reaches the target, composes
+those edge witnesses, and checks the composite once, by classifying its
+action on the source representative.
 """
 
 from __future__ import annotations
@@ -164,43 +167,27 @@ def reachable(source: ClassLabel | str, target: ClassLabel | str) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _witness_search(
-    source: ClassLabel, target: ClassLabel
-) -> tuple[LocalOperation, tuple[ClassLabel, ...]] | None:
-    """Composite witness plus the class chain it walks, or None."""
+def _witness_search(source: ClassLabel, target: ClassLabel) -> tuple[LocalOperation, tuple[ClassLabel, ...]]:
+    """Composite witness plus the class chain it walks, for two distinct
+    classes with ``reachable(source, target)``. Every class that still reaches
+    the target leads to it, so each step takes the first such successor."""
     order = partial_order()
-    start = representative(source)
-
-    def search(state, node):
-        for nxt in order.successors(node):
-            if not reachable(nxt, target):
-                continue
-            step = order.witnesses[(node, nxt)]
-            if any(m.shape[1] != k for m, k in zip(step.factors, state.dims)):
-                continue
-            moved = apply_local(step, state)
-            if nxt == target:
-                if classify(moved)[0] == target:
-                    return step, (node, nxt)
-                continue
-            tail = search(moved, nxt)
-            if tail is not None:
-                tail_op, tail_path = tail
-                return tail_op.after(step), (node,) + tail_path
-        return None
-
-    found = search(start, source)
-    if found is not None:
-        final_label = classify(apply_local(found[0], start))[0]
-        if final_label != target:
-            raise RuntimeError(f"witness search landed in {final_label} instead of {target}")
-    return found
+    path = (source,)
+    while path[-1] != target:
+        path += (next(b for b in order.successors(path[-1]) if reachable(b, target)),)
+    # Last edge first: the products group as (w_cd . w_bc) . w_ab.
+    steps = reversed([order.witnesses[edge] for edge in zip(path, path[1:])])
+    composite = functools.reduce(LocalOperation.after, steps)
+    label = classify(apply_local(composite, representative(source)))[0]
+    if label != target:
+        raise RuntimeError(f"witness walk from {source} landed in {label} instead of {target}")
+    return composite, path
 
 
 def _witness(
     source: ClassLabel | str, target: ClassLabel | str
 ) -> tuple[LocalOperation, tuple[ClassLabel, ...]] | None:
-    """The search result for a conversion between two distinct classes, or
+    """The walk's result for a conversion between two distinct classes, or
     None where there is none (including source == target)."""
     source, target = ClassLabel.parse(source), ClassLabel.parse(target)
     if source == target or not reachable(source, target):
@@ -213,8 +200,8 @@ def witness_map(
 ) -> LocalOperation | None:
     """A concrete noninvertible operation realizing source -> target.
 
-    For covering edges this is the catalog entry; for longer conversions,
-    edge witnesses are composed along a path and the composite is verified
+    For covering edges this is the catalog entry; for longer conversions, the
+    edge witnesses along ``witness_chain`` composed. Either is checked once,
     by classifying its action on the source representative. Returns None
     when the conversion is impossible (including source == target).
     """

@@ -386,6 +386,54 @@ def test_composite_witnesses_are_the_pinned_values():
     assert len(got) == 31 and got == WITNESS_VALUES
 
 
+@pytest.fixture
+def cold_witnesses():
+    """The classify module with its witness cache cleared, before and after."""
+    module = importlib.import_module("entclass.classify")
+    module._witness_search.cache_clear()
+    yield module
+    module._witness_search.cache_clear()
+
+
+def test_witness_walk_classifies_each_composite_once(cold_witnesses, monkeypatch):
+    # One apply_local and one classify per reachable pair: the walk checks
+    # the composite once and classifies no intermediate state.
+    calls = {"classify": 0, "apply_local": 0}
+    for name in calls:
+        real = getattr(cold_witnesses, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cold_witnesses, name, counting)
+    found = [ec.witness_map(a, b) for a, b in itertools.product(ALL_LABELS, repeat=2)]
+    assert sum(w is not None for w in found) == 31
+    assert calls == {"classify": 31, "apply_local": 31}
+
+
+def test_edge_witnesses_map_natural_dims_to_natural_dims():
+    # Each edge witness takes its source's natural dims (2, 2, max(2, r3)) to
+    # its target's, so the factors of a composite always chain.
+    order = partial_order()
+    for (a, b), witness in order.witnesses.items():
+        dims_a, dims_b = ((2, 2, natural_n(x)) for x in (a, b))
+        assert [m.shape for m in witness.factors] == list(zip(dims_b, dims_a)), (a, b)
+        assert ec.apply_local(witness, rep(a)).dims == rep(b).dims
+
+
+def test_witness_landing_elsewhere_raises(cold_witnesses, monkeypatch):
+    # A table whose (GHZ, B1) entry is really (GHZ, B2)'s: the walk's one
+    # check catches it rather than returning None for a reachable pair.
+    L = ec.ClassLabel
+    table = dict(partial_order().witnesses)
+    table[(L.GHZ, L.B1)] = table[(L.GHZ, L.B2)]
+    monkeypatch.setattr(cold_witnesses, "partial_order", lambda: ec.PartialOrder(table))
+    assert ec.reachable(L.GHZ, L.B1)
+    with pytest.raises(RuntimeError, match="^witness walk from GHZ landed in B2 instead of B1$"):
+        ec.witness_map(L.GHZ, L.B1)
+
+
 def test_longest_chain_has_five_nodes():
     order = partial_order()
     best = {}
