@@ -27,6 +27,7 @@ from .numerics import DEFAULT_POLICY, ZERO_FLOOR, TolerancePolicy, _eig_failed, 
 from .tensor import (
     DensityMatrix,
     StateTensor,
+    _check_int,
     _unit_and_norm,
     reduced_density,
     reduced_density_pair,
@@ -355,8 +356,8 @@ def nonlocal_dimension(dims, delta: int) -> DimensionCount:
     delta (the stabilizer dimension) must be supplied; the values for
     documented formats live in KNOWN_STABILIZER_DIMS.
     """
-    dims = tuple(int(k) for k in dims)
-    delta = int(delta)
+    dims = tuple(_check_int("a party dimension", k, FormatError) for k in dims)
+    delta = _check_int("stabilizer dimension", delta, FormatError)
     if delta < 0:
         raise ValueError(f"stabilizer dimension must be nonnegative, got {delta}")
     if any(k < 1 for k in dims) or len(dims) < 2:

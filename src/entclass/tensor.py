@@ -245,7 +245,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        dim = int(self.dim)
+        dim = _check_int("density matrix dimension", self.dim, FormatError)
         rho = np.asarray(self.entries, dtype=complex)
         if rho.shape != (dim, dim):
             raise FormatError(f"density matrix shape {rho.shape} != ({dim}, {dim})")
@@ -374,28 +374,28 @@ def apply_local(operation: LocalOperation, psi: StateTensor) -> StateTensor:
     return result
 
 
+def _reduced(psi: StateTensor, *kept) -> DensityMatrix:
+    """Partial trace keeping the parties ``kept`` (0-based), in that order."""
+    n = psi.party_count
+    for p in kept:
+        if not 0 <= _check_int("party", p, FormatError) < n:
+            raise FormatError(f"party {p} out of range for {n} parties")
+    if len(set(kept)) < len(kept):
+        raise FormatError("the two kept parties must differ")
+    psi.require_normalized()
+    moved = psi.amplitudes.transpose(*kept, *(p for p in range(n) if p not in kept))
+    a = moved.reshape(math.prod(moved.shape[: len(kept)]), -1)
+    return DensityMatrix(a.shape[0], a @ a.conj().T)
+
+
 def reduced_density(psi: StateTensor, party: int) -> DensityMatrix:
     """Partial trace over all parties except ``party`` (0-based).
 
     Requires a normalized state; a trace deviation above 1e-9 is rejected.
     """
-    if not 0 <= party < psi.party_count:
-        raise FormatError(f"party {party} out of range for {psi.party_count} parties")
-    psi.require_normalized()
-    a = np.moveaxis(psi.amplitudes, party, 0).reshape(psi.dims[party], -1)
-    return DensityMatrix(psi.dims[party], a @ a.conj().T)
+    return _reduced(psi, party)
 
 
 def reduced_density_pair(psi: StateTensor, first: int, second: int) -> DensityMatrix:
     """Partial trace keeping the ordered pair (first, second) of parties."""
-    if first == second:
-        raise FormatError("the two kept parties must differ")
-    for p in (first, second):
-        if not 0 <= p < psi.party_count:
-            raise FormatError(f"party {p} out of range")
-    psi.require_normalized()
-    rest = [p for p in range(psi.party_count) if p not in (first, second)]
-    moved = np.transpose(psi.amplitudes, (first, second, *rest))
-    k = psi.dims[first] * psi.dims[second]
-    a = moved.reshape(k, -1)
-    return DensityMatrix(k, a @ a.conj().T)
+    return _reduced(psi, first, second)

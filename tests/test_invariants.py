@@ -384,6 +384,23 @@ def test_nonlocal_dimension_rejects_negative_delta():
         ec.nonlocal_dimension((2, 2), -1)
 
 
+@pytest.mark.parametrize(
+    "dims, delta",
+    [((2, 2, 4.7), 6), ((2, 2, 4), 6.9), ((2, True, 2, 2), 0), ((2, "2", 2, 2), 0), ((2, 2), True), ((2, 2), "0")],
+    ids=repr,
+)
+def test_nonlocal_dimension_rejects_non_integer_sizes(dims, delta):
+    # int() once counted (2, 2, 4.7) with delta 6.9 as (2, 2, 4) with delta 6.
+    with pytest.raises(FormatError, match="must be an integer, got"):
+        ec.nonlocal_dimension(dims, delta)
+
+
+def test_nonlocal_dimension_accepts_numpy_integers():
+    count = ec.nonlocal_dimension((np.int64(2), 2, np.uint8(4)), np.int32(6))
+    assert count == ec.nonlocal_dimension((2, 2, 4), 6)
+    assert all(type(k) is int for k in count.dims) and type(count.delta) is int
+
+
 # ---------------------------------------------------------------------------
 # invariant report assembly
 

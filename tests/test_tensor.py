@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -348,6 +349,53 @@ def test_reduced_density_random_states_valid(gen):
         rho = ec.reduced_density(psi, party)
         assert abs(np.trace(rho.entries) - 1) < 1e-12
         assert np.abs(rho.entries - rho.entries.conj().T).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad", [True, 1.7, "2", np.array(1)], ids=repr)
+def test_reduced_densities_reject_non_integer_parties(bad):
+    # True once gave Bob's density, 1.7 a bare TypeError.
+    psi = ec.representative("GHZ", 2)
+    with pytest.raises(FormatError, match=f"^party must be an integer, got {re.escape(repr(bad))}$"):
+        ec.reduced_density(psi, bad)
+    for pair in ((bad, 2), (2, bad)):
+        with pytest.raises(FormatError, match="^party must be an integer"):
+            ec.reduced_density_pair(psi, *pair)
+
+
+@pytest.mark.parametrize("party", [-1, 3])
+def test_reduced_densities_reject_a_party_out_of_range(party):
+    psi = ec.representative("GHZ", 2)
+    message = f"^party {party} out of range for 3 parties$"
+    with pytest.raises(FormatError, match=message):
+        ec.reduced_density(psi, party)
+    with pytest.raises(FormatError, match=message):
+        ec.reduced_density_pair(psi, 0, party)
+    with pytest.raises(FormatError, match="^the two kept parties must differ$"):
+        ec.reduced_density_pair(psi, 1, 1)
+
+
+def test_reduced_densities_accept_numpy_integer_parties():
+    psi = ec.random_state((2, 2, 3), np.random.default_rng(3))
+    one, pair = ec.reduced_density(psi, np.int64(2)), ec.reduced_density_pair(psi, np.uint8(2), np.int32(0))
+    assert (one.dim, pair.dim) == (3, 6)
+    assert np.array_equal(one.entries, ec.reduced_density(psi, 2).entries)
+    assert np.array_equal(pair.entries, ec.reduced_density_pair(psi, 2, 0).entries)
+
+
+def test_reduced_density_is_the_moved_axis_gram():
+    # transpose((p, *rest)) is moveaxis(p, 0): the bits of the old body.
+    psi = ec.random_state((2, 3, 4), np.random.default_rng(4))
+    for party in range(3):
+        a = np.moveaxis(psi.amplitudes, party, 0).reshape(psi.dims[party], -1)
+        assert np.array_equal(ec.reduced_density(psi, party).entries, a @ a.conj().T)
+
+
+@pytest.mark.parametrize("bad", [2.9, True, "2", 2.0], ids=repr)
+def test_density_matrix_rejects_a_non_integer_dim(bad):
+    # int() once truncated 2.9 to 2.
+    with pytest.raises(FormatError, match="^density matrix dimension must be an integer"):
+        ec.DensityMatrix(bad, np.eye(2) / 2)
+    assert ec.DensityMatrix(np.int64(2), np.eye(2) / 2).dim == 2
 
 
 def test_bipartite_slice_rank_invariant_under_sl(gen):
