@@ -15,13 +15,9 @@ __version__ = "0.1.0"
 from types import ModuleType as _ModuleType
 
 from .classify import (
-    PartialOrder,
     classify,
-    grade,
-    hasse_edges,
     partial_order,
     reachable,
-    witness_chain,
     witness_map,
 )
 from .errors import (
@@ -83,7 +79,6 @@ from .protocols import (
     distill_from_generic,
     distill_ghz_branches,
     entanglement_swap,
-    two_bell,
 )
 from .tensor import (
     MAX_LEVELS,
@@ -93,7 +88,6 @@ from .tensor import (
     apply_local,
     make_state,
     reduced_density,
-    reduced_density_pair,
     representative,
 )
 

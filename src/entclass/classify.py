@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -68,11 +67,6 @@ def classify(
         raise AmbiguityError(illegal, report.distances["local_ranks"], band)
     key, generic, degenerate = _DET_DECIDED[signature]
     return (generic if policy.nonzero(key, report.distances[key]) else degenerate), report
-
-
-def grade(label: ClassLabel | str) -> int:
-    """Position in the partial order: 1 (separable) up to 5 (generic 2x2x4)."""
-    return ClassLabel.parse(label).grade
 
 
 def _eye(k: int = 2) -> np.ndarray:
@@ -123,38 +117,11 @@ def _edge_witnesses() -> dict[tuple[ClassLabel, ClassLabel], LocalOperation]:
     }
 
 
-@dataclass(frozen=True)
-class PartialOrder:
-    """The covering edges of the conversion order, each with its witness.
-
-    ``witnesses`` is read-only: ``partial_order()`` shares one instance.
-    """
-
-    witnesses: Mapping[tuple[ClassLabel, ClassLabel], LocalOperation]
-
-    def __post_init__(self):
-        object.__setattr__(self, "witnesses", MappingProxyType(dict(self.witnesses)))
-
-    def __reduce__(self):
-        # A mapping proxy does not pickle; rebuild the order from a dict.
-        return PartialOrder, (dict(self.witnesses),)
-
-    @property
-    def edges(self) -> tuple[tuple[ClassLabel, ClassLabel], ...]:
-        return tuple(self.witnesses)
-
-    def successors(self, label: ClassLabel) -> tuple[ClassLabel, ...]:
-        return tuple(b for a, b in self.witnesses if a == label)
-
-
 @functools.lru_cache(maxsize=1)
-def partial_order() -> PartialOrder:
-    return PartialOrder(_edge_witnesses())
-
-
-def hasse_edges() -> list[tuple[ClassLabel, ClassLabel]]:
-    """All covering relations of the partial order, higher class first."""
-    return list(partial_order().edges)
+def partial_order() -> Mapping[tuple[ClassLabel, ClassLabel], LocalOperation]:
+    """The covering edges of the conversion order, higher class first, each
+    with its witness, in the table's order. One read-only mapping is shared."""
+    return MappingProxyType(_edge_witnesses())
 
 
 def reachable(source: ClassLabel | str, target: ClassLabel | str) -> bool:
@@ -174,9 +141,13 @@ def _witness_search(source: ClassLabel, target: ClassLabel) -> tuple[LocalOperat
     order = partial_order()
     path = (source,)
     while path[-1] != target:
-        path += (next(b for b in order.successors(path[-1]) if reachable(b, target)),)
+        node = path[-1]
+        step = next((b for a, b in order if a == node and reachable(b, target)), None)
+        if step is None:
+            raise RuntimeError(f"witness walk from {source} to {target} stalled at {node}")
+        path += (step,)
     # Last edge first: the products group as (w_cd . w_bc) . w_ab.
-    steps = reversed([order.witnesses[edge] for edge in zip(path, path[1:])])
+    steps = reversed([order[edge] for edge in zip(path, path[1:])])
     composite = functools.reduce(LocalOperation.after, steps)
     label = classify(apply_local(composite, representative(source)))[0]
     if label != target:
@@ -184,34 +155,18 @@ def _witness_search(source: ClassLabel, target: ClassLabel) -> tuple[LocalOperat
     return composite, path
 
 
-def _witness(
+def witness_map(
     source: ClassLabel | str, target: ClassLabel | str
 ) -> tuple[LocalOperation, tuple[ClassLabel, ...]] | None:
-    """The walk's result for a conversion between two distinct classes, or
-    None where there is none (including source == target)."""
+    """A concrete noninvertible operation realizing source -> target, with
+    the class chain it walks, endpoints included: ``(operation, chain)``.
+
+    For covering edges the operation is the catalog entry; for longer
+    conversions, the edge witnesses along the chain composed. Either is
+    checked once, by classifying its action on the source representative.
+    Returns None when the conversion is impossible (including source == target).
+    """
     source, target = ClassLabel.parse(source), ClassLabel.parse(target)
     if source == target or not reachable(source, target):
         return None
     return _witness_search(source, target)
-
-
-def witness_map(
-    source: ClassLabel | str, target: ClassLabel | str
-) -> LocalOperation | None:
-    """A concrete noninvertible operation realizing source -> target.
-
-    For covering edges this is the catalog entry; for longer conversions, the
-    edge witnesses along ``witness_chain`` composed. Either is checked once,
-    by classifying its action on the source representative. Returns None
-    when the conversion is impossible (including source == target).
-    """
-    found = _witness(source, target)
-    return None if found is None else found[0]
-
-
-def witness_chain(
-    source: ClassLabel | str, target: ClassLabel | str
-) -> tuple[ClassLabel, ...] | None:
-    """The class chain walked by witness_map's composition, endpoints included."""
-    found = _witness(source, target)
-    return None if found is None else found[1]

@@ -32,9 +32,8 @@ import numpy as np
 from . import __version__
 from .classify import (
     classify,
-    hasse_edges,
+    partial_order,
     reachable,
-    witness_chain,
     witness_map,
 )
 from .errors import AmbiguityError, EntclassError, StateFileError
@@ -400,14 +399,13 @@ def _cmd_order(args, policy, seed) -> tuple[dict, int]:
                 for label in ClassLabel
             ],
             "edges": [
-                [a.display_name, b.display_name] for a, b in hasse_edges()
+                [a.display_name, b.display_name] for a, b in partial_order()
             ],
         }
         return result, 0
     src = ClassLabel.parse(args.from_label)
     dst = ClassLabel.parse(args.to_label)
-    witness = witness_map(src, dst)
-    chain = witness_chain(src, dst)
+    witness, chain = witness_map(src, dst) or (None, None)
     result = {
         "from": src.display_name,
         "to": dst.display_name,

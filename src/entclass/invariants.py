@@ -30,7 +30,6 @@ from .tensor import (
     _check_int,
     _unit_and_norm,
     reduced_density,
-    reduced_density_pair,
 )
 
 #: The magic-basis transform: the fixed 4x4 unitary realizing the
@@ -343,8 +342,8 @@ def ckw_residual(psi: StateTensor) -> CkwReport:
     psi.require_normalized()
     rho3 = reduced_density(psi, 2)
     c3_rest_sq = float(4.0 * np.linalg.det(rho3.entries).real)
-    c13 = concurrence(reduced_density_pair(psi, 0, 2))
-    c23 = concurrence(reduced_density_pair(psi, 1, 2))
+    c13 = concurrence(reduced_density(psi, 0, 2))
+    c23 = concurrence(reduced_density(psi, 1, 2))
     tangle = three_tangle(psi)
     residual = c3_rest_sq - c13**2 - c23**2 - tangle
     return CkwReport(c3_rest_sq, c13**2, c23**2, tangle, residual)

@@ -55,15 +55,6 @@ class ProtocolOutcome:
     recovery: LocalOperation | None = None
 
 
-def two_bell() -> StateTensor:
-    """Two Bell pairs over three parties, Clare holding one qubit of each.
-
-    Clare's index is c = 2*c1 + c2, so the amplitudes sit at
-    (a, b, 2a + b) with value 1/2: the generic 2x2x4 class representative.
-    """
-    return representative(ClassLabel.GEN224)
-
-
 def _clare_branch(
     base: StateTensor, name: str, element: np.ndarray, recovery: tuple | None
 ) -> ProtocolOutcome:
@@ -107,7 +98,7 @@ def _branch(name: str) -> ProtocolOutcome:
     """Branch ``name`` of the two-Bell state, computed once per process. It
     depends on no input, and the outcome is frozen with read-only arrays, so
     every caller shares it."""
-    return _clare_branch(two_bell(), name, *_BRANCHES[name])
+    return _clare_branch(representative(ClassLabel.GEN224), name, *_BRANCHES[name])
 
 
 def entanglement_swap() -> list[ProtocolOutcome]:

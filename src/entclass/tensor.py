@@ -202,10 +202,6 @@ class LocalOperation:
     def party_count(self) -> int:
         return len(self.factors)
 
-    @property
-    def all_invertible(self) -> bool:
-        return all(self.invertible)
-
     @classmethod
     def identity(cls, dims: Sequence[int]) -> "LocalOperation":
         return cls(tuple(np.eye(k, dtype=complex) for k in _checked_dims(dims)))
@@ -374,28 +370,19 @@ def apply_local(operation: LocalOperation, psi: StateTensor) -> StateTensor:
     return result
 
 
-def _reduced(psi: StateTensor, *kept) -> DensityMatrix:
-    """Partial trace keeping the parties ``kept`` (0-based), in that order."""
-    n = psi.party_count
+def reduced_density(psi: StateTensor, party: int, *more: int) -> DensityMatrix:
+    """Partial trace keeping ``party`` and then ``more`` (0-based), in that
+    order, over every other party.
+
+    Requires a normalized state; a trace deviation above 1e-9 is rejected.
+    """
+    kept, n = (party, *more), psi.party_count
     for p in kept:
         if not 0 <= _check_int("party", p, FormatError) < n:
             raise FormatError(f"party {p} out of range for {n} parties")
     if len(set(kept)) < len(kept):
-        raise FormatError("the two kept parties must differ")
+        raise FormatError("the kept parties must differ")
     psi.require_normalized()
     moved = psi.amplitudes.transpose(*kept, *(p for p in range(n) if p not in kept))
     a = moved.reshape(math.prod(moved.shape[: len(kept)]), -1)
     return DensityMatrix(a.shape[0], a @ a.conj().T)
-
-
-def reduced_density(psi: StateTensor, party: int) -> DensityMatrix:
-    """Partial trace over all parties except ``party`` (0-based).
-
-    Requires a normalized state; a trace deviation above 1e-9 is rejected.
-    """
-    return _reduced(psi, party)
-
-
-def reduced_density_pair(psi: StateTensor, first: int, second: int) -> DensityMatrix:
-    """Partial trace keeping the ordered pair (first, second) of parties."""
-    return _reduced(psi, first, second)

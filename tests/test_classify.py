@@ -7,6 +7,7 @@ import json
 import math
 import pickle
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -186,11 +187,14 @@ def test_decision_rule_matches_parent_table(monkeypatch):
 
 
 def test_grades():
-    assert ec.grade("GEN224") == 5
-    assert ec.grade("C223_GEN") == ec.grade("C223_DEG") == 4
-    assert ec.grade("GHZ") == ec.grade("W") == 3
-    assert ec.grade("B1") == ec.grade("B2") == ec.grade("B3") == 2
-    assert ec.grade("separable") == 1
+    def grade(text):
+        return ec.ClassLabel.parse(text).grade
+
+    assert grade("GEN224") == grade("224-generic") == 5
+    assert grade("C223_GEN") == grade("C223_DEG") == grade("223-generic") == grade("223-degenerate") == 4
+    assert grade("GHZ") == grade("W") == 3
+    assert grade("B1") == grade("B2") == grade("B3") == 2
+    assert grade("separable") == grade("SEP") == 1
 
 
 def test_each_label_is_one_row():
@@ -223,13 +227,14 @@ def test_hasse_edge_set_exact():
         (L.W, L.B1), (L.W, L.B2), (L.W, L.B3),
         (L.B1, L.SEP), (L.B2, L.SEP), (L.B3, L.SEP),
     }
-    assert set(ec.hasse_edges()) == expected
-    assert len(ec.hasse_edges()) == len(expected)
+    edges = list(partial_order())
+    assert set(edges) == expected
+    assert len(edges) == len(expected)
 
 
 def test_no_edge_between_ghz_and_w():
     L = ec.ClassLabel
-    edges = set(ec.hasse_edges())
+    edges = set(partial_order())
     assert (L.GHZ, L.W) not in edges and (L.W, L.GHZ) not in edges
     assert not ec.reachable(L.GHZ, L.W)
     assert not ec.reachable(L.W, L.GHZ)
@@ -239,9 +244,9 @@ def test_no_edge_between_ghz_and_w():
 
 def test_every_edge_witness_lands_in_target():
     order = partial_order()
-    for (a, b) in ec.hasse_edges():
-        witness = order.witnesses[(a, b)]
-        assert not witness.all_invertible
+    for (a, b) in order:
+        witness = order[(a, b)]
+        assert not all(witness.invertible)
         out = ec.apply_local(witness, rep(a))
         assert ec.classify(out)[0] == b
 
@@ -250,19 +255,22 @@ def test_shared_witnesses_are_read_only(capsys):
     order = partial_order()
     edge = (ec.ClassLabel.GHZ, ec.ClassLabel.B3)
     with pytest.raises(TypeError):
-        order.witnesses[edge] = None
+        order[edge] = None
     with pytest.raises(AttributeError):
-        order.witnesses.clear()
-    assert len(order.witnesses) == len(order.edges)
+        order.clear()
+    assert len(order) == len(list(order)) == 15
     # Once a caller could empty the shared dict and break every later query.
     assert cli.run(["order", "--from", "224-generic", "--to", "B3"]) == 0
     assert '"reachable": true' in capsys.readouterr().out
-    copy = pickle.loads(pickle.dumps(order))
-    assert copy.edges == order.edges
+    # The shared proxy does not pickle; a dict of it does, witnesses included.
+    with pytest.raises(TypeError):
+        pickle.dumps(order)
+    copy = pickle.loads(pickle.dumps(dict(order)))
+    assert list(copy) == list(order)
     assert all(
         np.array_equal(m, n)
-        for e in order.edges
-        for m, n in zip(copy.witnesses[e].factors, order.witnesses[e].factors)
+        for e in order
+        for m, n in zip(copy[e].factors, order[e].factors)
     )
 
 
@@ -279,21 +287,24 @@ def test_edges_are_the_covering_relations_of_the_rank_order():
         for a, b in itertools.permutations(ALL_LABELS, 2)
         if _rank_below(a, b) and not any(_rank_below(a, c) and _rank_below(c, b) for c in ALL_LABELS)
     }
-    assert set(ec.hasse_edges()) == covers and len(ec.hasse_edges()) == len(covers) == 15
-    assert all(a.grade == b.grade + 1 for a, b in ec.hasse_edges())
+    edges = list(partial_order())
+    assert set(edges) == covers and len(edges) == len(covers) == 15
+    assert all(a.grade == b.grade + 1 for a, b in edges)
 
 
 def test_reachable_is_the_transitive_closure_of_the_edges():
     # The depth-first search over the shipped edges that the rank rule
     # replaced, kept here as its reference on all 81 ordered pairs.
+    order = partial_order()
+
     def closure(source):
         seen, frontier = {source}, [source]
         while frontier:
             node = frontier.pop()
-            for a, b in ec.hasse_edges():
-                if a == node and b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
+            for succ in [b for a, b in order if a == node]:
+                if succ not in seen:
+                    seen.add(succ)
+                    frontier.append(succ)
         return seen
 
     for a in ALL_LABELS:
@@ -331,25 +342,27 @@ def test_reachability_examples():
 def test_witness_map_spec_edges():
     L = ec.ClassLabel
     order = partial_order()
-    w = order.witnesses[(L.C223_DEG, L.GHZ)]
+    w = order[(L.C223_DEG, L.GHZ)]
     assert np.allclose(w.factors[2], [[1, 0, 0], [0, 1, 1]])
-    w = order.witnesses[(L.C223_GEN, L.W)]
+    w = order[(L.C223_GEN, L.W)]
     assert np.allclose(w.factors[2], [[1, 0, 0], [0, 1, 0]])
-    w = order.witnesses[(L.GHZ, L.B3)]
+    w = order[(L.GHZ, L.B3)]
     assert np.allclose(w.factors[2], [[1, 1], [0, 0]])
 
 
 def test_witness_chain_matches_map():
+    order = partial_order()
     for a in ALL_LABELS:
         for b in ALL_LABELS:
-            chain = ec.witness_chain(a, b)
+            found = ec.witness_map(a, b)
             if a != b and ec.reachable(a, b):
+                _, chain = found
                 assert chain[0] == a and chain[-1] == b
                 assert len(chain) == a.grade - b.grade + 1
                 for x, y in zip(chain, chain[1:]):
-                    assert (x, y) in ec.hasse_edges()
+                    assert (x, y) in order
             else:
-                assert chain is None
+                assert found is None
 
 
 def test_witness_map_all_reachable_pairs():
@@ -358,9 +371,10 @@ def test_witness_map_all_reachable_pairs():
             if a == b:
                 assert ec.witness_map(a, b) is None
             elif ec.reachable(a, b):
-                w = ec.witness_map(a, b)
-                assert w is not None
-                assert not w.all_invertible
+                found = ec.witness_map(a, b)
+                assert found is not None
+                w, _ = found
+                assert not all(w.invertible)
                 out = ec.apply_local(w, rep(a))
                 assert ec.classify(out)[0] == b
             else:
@@ -375,10 +389,11 @@ WITNESS_VALUES = json.loads(Path(__file__).with_name("witness_values.json").read
 def test_composite_witnesses_are_the_pinned_values():
     got = {}
     for a, b in itertools.product(ALL_LABELS, repeat=2):
-        w = ec.witness_map(a, b)
-        if w is not None:
+        found = ec.witness_map(a, b)
+        if found is not None:
+            w, chain = found
             got[f"{a.name} -> {b.name}"] = {
-                "chain": [c.name for c in ec.witness_chain(a, b)],
+                "chain": [c.name for c in chain],
                 "real": [m.real.tolist() for m in w.factors],
                 "imag": [m.imag.tolist() for m in w.factors],
                 "invertible": list(w.invertible),
@@ -416,7 +431,7 @@ def test_edge_witnesses_map_natural_dims_to_natural_dims():
     # Each edge witness takes its source's natural dims (2, 2, max(2, r3)) to
     # its target's, so the factors of a composite always chain.
     order = partial_order()
-    for (a, b), witness in order.witnesses.items():
+    for (a, b), witness in order.items():
         dims_a, dims_b = ((2, 2, natural_n(x)) for x in (a, b))
         assert [m.shape for m in witness.factors] == list(zip(dims_b, dims_a)), (a, b)
         assert ec.apply_local(witness, rep(a)).dims == rep(b).dims
@@ -426,11 +441,23 @@ def test_witness_landing_elsewhere_raises(cold_witnesses, monkeypatch):
     # A table whose (GHZ, B1) entry is really (GHZ, B2)'s: the walk's one
     # check catches it rather than returning None for a reachable pair.
     L = ec.ClassLabel
-    table = dict(partial_order().witnesses)
+    table = dict(partial_order())
     table[(L.GHZ, L.B1)] = table[(L.GHZ, L.B2)]
-    monkeypatch.setattr(cold_witnesses, "partial_order", lambda: ec.PartialOrder(table))
+    monkeypatch.setattr(cold_witnesses, "partial_order", lambda: MappingProxyType(table))
     assert ec.reachable(L.GHZ, L.B1)
     with pytest.raises(RuntimeError, match="^witness walk from GHZ landed in B2 instead of B1$"):
+        ec.witness_map(L.GHZ, L.B1)
+
+
+def test_witness_walk_that_stalls_raises(cold_witnesses, monkeypatch):
+    # A table without the (GHZ, B1) edge leaves GHZ no successor that still
+    # reaches B1: the walk names where it stalled, not a bare StopIteration.
+    L = ec.ClassLabel
+    table = dict(partial_order())
+    del table[(L.GHZ, L.B1)]
+    monkeypatch.setattr(cold_witnesses, "partial_order", lambda: MappingProxyType(table))
+    assert ec.reachable(L.GHZ, L.B1)
+    with pytest.raises(RuntimeError, match="^witness walk from GHZ to B1 stalled at GHZ$"):
         ec.witness_map(L.GHZ, L.B1)
 
 
@@ -440,7 +467,7 @@ def test_longest_chain_has_five_nodes():
 
     def depth(node):
         if node not in best:
-            succ = order.successors(node)
+            succ = [b for a, b in order if a == node]
             best[node] = 1 + max((depth(s) for s in succ), default=0)
         return best[node]
 

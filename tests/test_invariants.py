@@ -289,7 +289,7 @@ def test_concurrence_agrees_with_purification_rtr(gen):
     for _ in range(300):
         n = int(gen.integers(1, 9))
         psi = ec.random_state((2, 2, n), gen)
-        rho = ec.reduced_density_pair(psi, 0, 1)
+        rho = ec.reduced_density(psi, 0, 1)
         eigs, vecs = np.linalg.eigh(rho.entries)
         root = (vecs * np.sqrt(np.clip(eigs, 0, None))) @ vecs.conj().T
         s_conc = np.sort(
@@ -341,12 +341,12 @@ def test_w_maximizes_pairwise_sum(gen):
     # Pairwise squared concurrences sum to at most 4/3, attained by W.
     w = rep("W")
     pairs = [(0, 1), (1, 2), (0, 2)]
-    total_w = sum(ec.concurrence(ec.reduced_density_pair(w, a, b)) ** 2 for a, b in pairs)
+    total_w = sum(ec.concurrence(ec.reduced_density(w, a, b)) ** 2 for a, b in pairs)
     assert total_w == pytest.approx(4 / 3, abs=1e-10)
     for _ in range(1000):
         psi = ec.random_state((2, 2, 2), gen)
         total = sum(
-            ec.concurrence(ec.reduced_density_pair(psi, a, b)) ** 2 for a, b in pairs
+            ec.concurrence(ec.reduced_density(psi, a, b)) ** 2 for a, b in pairs
         )
         assert total <= 4 / 3 + 1e-6
 

@@ -43,10 +43,23 @@ def test_pre_pipeline_helpers_are_gone():
         for module in (ec, ec.invariants, ec.tensor):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(ec.RandomSource, "substream")
+    # The rank rule decides reachability; the order is one read-only mapping
+    # of each covering edge to its witness.
+    assert isinstance(ec.partial_order(), types.MappingProxyType)
     assert not hasattr(ec.partial_order(), "nodes")
-    # The rank rule decides reachability; the order keeps only its witnesses.
-    assert not hasattr(ec.PartialOrder, "is_reachable")
-    assert [f.name for f in dataclasses.fields(ec.PartialOrder)] == ["witnesses"]
+    # One public name per fact: each of these restated a name that stays.
+    classify = sys.modules["entclass.classify"]
+    for module, name in (
+        (classify, "grade"),
+        (classify, "hasse_edges"),
+        (classify, "witness_chain"),
+        (classify, "PartialOrder"),
+        (ec.tensor, "reduced_density_pair"),
+        (ec.protocols, "two_bell"),
+    ):
+        assert not hasattr(ec, name), name
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(ec.LocalOperation, "all_invertible")
 
 
 def _unused_imports(path: Path) -> list[str]:

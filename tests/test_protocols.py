@@ -12,7 +12,7 @@ from conftest import rep
 
 
 def test_two_bell_is_generic_representative():
-    psi = ec.two_bell()
+    psi = ec.representative(ec.ClassLabel.GEN224)
     assert psi.dims == (2, 2, 4)
     assert psi.is_normalized()
     assert ec.classify(psi)[0] == ec.ClassLabel.GEN224
@@ -20,7 +20,7 @@ def test_two_bell_is_generic_representative():
 
 
 def test_two_bell_clare_sees_maximal_mixture():
-    rho = ec.reduced_density(ec.two_bell(), 2)
+    rho = ec.reduced_density(ec.representative(ec.ClassLabel.GEN224), 2)
     assert np.allclose(rho.entries, np.eye(4) / 4)
 
 
@@ -35,7 +35,7 @@ def test_swap_four_uniform_branches():
 def test_swap_branches_are_biseparable_bell_pairs():
     for b in ec.entanglement_swap():
         assert b.post_class == ec.ClassLabel.B3
-        conc = ec.concurrence(ec.reduced_density_pair(b.post_state, 0, 1))
+        conc = ec.concurrence(ec.reduced_density(b.post_state, 0, 1))
         assert conc == pytest.approx(1.0, abs=1e-10)
 
 
@@ -43,7 +43,7 @@ def test_swap_recovery_restores_canonical_pair():
     phi_plus = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
     for b in ec.entanglement_swap():
         recovered = ec.apply_local(b.recovery, b.post_state).normalize()
-        rho = ec.reduced_density_pair(recovered, 0, 1)
+        rho = ec.reduced_density(recovered, 0, 1)
         overlap = float((phi_plus.conj() @ rho.entries @ phi_plus).real)
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
@@ -120,7 +120,7 @@ def test_distill_target_spellings(spelling):
 
 
 def test_distill_probabilities_match_projected_norms():
-    base = ec.two_bell()
+    base = ec.representative(ec.ClassLabel.GEN224)
     ghz_element = np.array([[1, 0, 0, 0], [0, 0, 0, 1]], dtype=complex)
     raw = ec.apply_local(ec.LocalOperation.single_party((2, 2, 4), 2, ghz_element), base)
     assert ec.distill_from_generic("GHZ").probability == pytest.approx(raw.norm**2)
@@ -132,7 +132,7 @@ def test_distill_ghz_agrees_with_povm_coarse_graining():
     # must match the rectangular distillation branches.
     eye = np.eye(4, dtype=complex)
     pair = ec.PovmPair(2, eye, eye, eye, (1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 0.0))
-    outcomes = ec.apply_povm(ec.two_bell(), pair)
+    outcomes = ec.apply_povm(ec.representative(ec.ClassLabel.GEN224), pair)
     branches = ec.distill_ghz_branches()
     for outcome, branch in zip(outcomes, branches):
         assert outcome.probability == pytest.approx(branch.probability, abs=1e-12)
@@ -165,7 +165,7 @@ def test_branches_are_computed_once_and_shared_read_only():
 @pytest.mark.parametrize("name", sorted(protocols._BRANCHES))
 def test_cached_branch_equals_a_fresh_computation(name):
     got = protocols._branch(name)
-    want = protocols._clare_branch(ec.two_bell(), name, *protocols._BRANCHES[name])
+    want = protocols._clare_branch(ec.representative(ec.ClassLabel.GEN224), name, *protocols._BRANCHES[name])
     assert got is not want
     assert (got.branch, got.probability, got.post_class) == (
         want.branch, want.probability, want.post_class,

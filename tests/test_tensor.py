@@ -296,7 +296,7 @@ def test_apply_local_unitary_preserves_norm(gen):
 
 
 def test_flatten_two_bell_identity_pattern():
-    psi = ec.two_bell()
+    psi = ec.representative(ec.ClassLabel.GEN224)
     f = psi.amplitudes.reshape(4, -1)
     assert np.allclose(f, np.eye(4) / 2)
 
@@ -329,7 +329,7 @@ def test_reduced_density_product_state():
 
 
 def test_reduced_density_two_bell_clare():
-    rho = ec.reduced_density(ec.two_bell(), 2)
+    rho = ec.reduced_density(ec.representative(ec.ClassLabel.GEN224), 2)
     assert np.allclose(rho.entries, np.eye(4) / 4)
 
 
@@ -359,7 +359,7 @@ def test_reduced_densities_reject_non_integer_parties(bad):
         ec.reduced_density(psi, bad)
     for pair in ((bad, 2), (2, bad)):
         with pytest.raises(FormatError, match="^party must be an integer"):
-            ec.reduced_density_pair(psi, *pair)
+            ec.reduced_density(psi, *pair)
 
 
 @pytest.mark.parametrize("party", [-1, 3])
@@ -369,17 +369,17 @@ def test_reduced_densities_reject_a_party_out_of_range(party):
     with pytest.raises(FormatError, match=message):
         ec.reduced_density(psi, party)
     with pytest.raises(FormatError, match=message):
-        ec.reduced_density_pair(psi, 0, party)
-    with pytest.raises(FormatError, match="^the two kept parties must differ$"):
-        ec.reduced_density_pair(psi, 1, 1)
+        ec.reduced_density(psi, 0, party)
+    with pytest.raises(FormatError, match="^the kept parties must differ$"):
+        ec.reduced_density(psi, 1, 1)
 
 
 def test_reduced_densities_accept_numpy_integer_parties():
     psi = ec.random_state((2, 2, 3), np.random.default_rng(3))
-    one, pair = ec.reduced_density(psi, np.int64(2)), ec.reduced_density_pair(psi, np.uint8(2), np.int32(0))
+    one, pair = ec.reduced_density(psi, np.int64(2)), ec.reduced_density(psi, np.uint8(2), np.int32(0))
     assert (one.dim, pair.dim) == (3, 6)
     assert np.array_equal(one.entries, ec.reduced_density(psi, 2).entries)
-    assert np.array_equal(pair.entries, ec.reduced_density_pair(psi, 2, 0).entries)
+    assert np.array_equal(pair.entries, ec.reduced_density(psi, 2, 0).entries)
 
 
 def test_reduced_density_is_the_moved_axis_gram():
@@ -388,6 +388,9 @@ def test_reduced_density_is_the_moved_axis_gram():
     for party in range(3):
         a = np.moveaxis(psi.amplitudes, party, 0).reshape(psi.dims[party], -1)
         assert np.array_equal(ec.reduced_density(psi, party).entries, a @ a.conj().T)
+    # Keeping every party traces nothing out: |psi><psi|.
+    v = psi.amplitudes.ravel()
+    assert np.allclose(ec.reduced_density(psi, 0, 1, 2).entries, np.outer(v, v.conj()), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("bad", [2.9, True, "2", 2.0], ids=repr)
@@ -439,7 +442,7 @@ def test_local_operation_invertibility_flags(monkeypatch):
     assert flags == (True, False, False, True, False, False)
     assert len(calls) == 5  # one per square factor; a rectangular one is False unseen
     assert op.invertible is flags and len(calls) == 5
-    assert not op.all_invertible
+    assert not all(op.invertible)
     assert repr(op) == (
         "LocalOperation(2x2, 2x2, 2x3, 1x1, 1x1, 2x2, "
         "invertible=(True, False, False, True, False, False))"
@@ -450,10 +453,10 @@ def test_local_operation_invertibility_flags(monkeypatch):
     for before in (op, ec.LocalOperation(factors)):
         assert pickle.loads(pickle.dumps(before)).invertible == flags
     order = partial_order()
-    copy = pickle.loads(pickle.dumps(order))
-    for edge in order.edges:
-        assert repr(copy.witnesses[edge]) == repr(order.witnesses[edge])
-        assert not copy.witnesses[edge].all_invertible
+    copy = pickle.loads(pickle.dumps(dict(order)))
+    for edge in order:
+        assert repr(copy[edge]) == repr(order[edge])
+        assert not all(copy[edge].invertible)
 
 
 def test_zero_tensor_rejected():
