@@ -45,7 +45,6 @@ from .invariants import (
     det223,
     invariant_report,
     nonlocal_dimension,
-    three_tangle,
 )
 from .labels import ClassLabel
 from .monotone import (

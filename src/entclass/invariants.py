@@ -2,9 +2,8 @@
 
 Local ranks, the magic-basis bilinear form R^T R with its rank and singular
 values, the hyperdeterminants of the 2x2x2 and 2x2x3 formats (degree 4 and
-degree 6 polynomial invariants), two-qubit concurrence, the three-tangle,
-the monogamy-identity residual for three qubits, and the count of nonlocal
-parameters of a format.
+degree 6 polynomial invariants), two-qubit concurrence, the three-qubit
+monogamy decomposition, and the count of nonlocal parameters of a format.
 
 The hyperdeterminants are evaluated literally, term by term, so the code
 can be audited against the defining polynomials; there is no clever
@@ -24,13 +23,7 @@ from numpy.linalg._umath_linalg import det as _det, eigvalsh_lo as _eigvalsh_lo,
 
 from .errors import FormatError, NumericalInstabilityError
 from .numerics import DEFAULT_POLICY, ZERO_FLOOR, TolerancePolicy, _eig_failed, _errstate, _lapack, _svd_failed
-from .tensor import (
-    DensityMatrix,
-    StateTensor,
-    _check_int,
-    _unit_and_norm,
-    reduced_density,
-)
+from .tensor import DensityMatrix, StateTensor, _check_int, _unit_and_norm
 
 #: The magic-basis transform: the fixed 4x4 unitary realizing the
 #: isomorphism SL2 x SL2 ~ SO4 on the joint Alice-Bob index. Under it,
@@ -50,6 +43,10 @@ _ISY = np.array([[0.0, 1.0], [-1.0, 0.0]])
 #: The two-qubit spin-flip form (i sigma_y) x (i sigma_y), a real 4x4 matrix.
 SPIN_FLIP = np.kron(_ISY, _ISY)
 SPIN_FLIP.setflags(write=False)
+
+
+def _form(x, y):  # x^T SPIN_FLIP y on 4-vectors of Python numbers
+    return x[0] * y[3] + x[3] * y[0] - x[1] * y[2] - x[2] * y[1]
 
 
 def _magic_basis_selftest() -> int:
@@ -78,6 +75,8 @@ class InvariantReport:
     """Every invariant the classifier consumes, plus each decision's distance.
 
     ``local_ranks`` uses the 1-based party convention (r1, r2, r3).
+    ``singular_values_rtr`` are Wootters' lambda_i of the Alice-Bob reduced
+    density, so max(0, l1 - l2 - l3 - l4) is its concurrence.
     ``det222``/``det223`` are present only when the rank-adjusted format
     admits them (r3 <= 2 and r3 <= 3; ``det223`` is exactly 0 for r3 <= 2).
     Their phases depend on the Clare rotation, so only moduli are contractual.
@@ -206,8 +205,9 @@ def _rtr(f: np.ndarray) -> np.ndarray:
     the spin-flip bilinear form on ``f``: the two n x n matrices must agree
     (up to the sign fixed at import), else the call fails rather than return
     a silently unstable invariant. ``invariant_report`` takes its descending
-    singular values in its LAPACK block, and its rank is their count above
-    the policy's tolerance (the rank decides no class)."""
+    singular values in its LAPACK block: Wootters' lambda_i of the Alice-Bob
+    reduced density, which give its concurrence. The rank, their count above
+    the policy's tolerance, decides no class."""
     r = MAGIC_BASIS @ f
     via_magic = r.T @ r
     deviation = abs(via_magic - f.T @ (f[::-1] * _FLIP_SIGNS)).max()
@@ -225,19 +225,15 @@ def _det_distance(cols, s) -> tuple[complex, float]:
     Det222 = -det A, Det223 = -det A / 2 and d = |det A| / ||2 S F adj(A)||, the
     first-order distance to Det = 0 (0/0 counts as 0). S is orthogonal and
     F^H F = diag(s^2), so the norm is 2 sqrt(sum_jk s_j^2 |adj(A)_jk|^2)."""
-
-    def form(x, y):  # x^T SPIN_FLIP y on Python numbers
-        return x[0] * y[3] + x[3] * y[0] - x[1] * y[2] - x[2] * y[1]
-
     if len(cols) == 2:
         x, y = cols
-        a, b, c = form(x, x), form(x, y), form(y, y)
+        a, b, c = _form(x, x), _form(x, y), _form(y, y)
         det = a * c - b * b  # BILINEAR_SIGN**2 = 1
         bb = abs(b) ** 2  # adj(A) = [[c, -b], [-b, a]]
         grad = s[0] ** 2 * (abs(c) ** 2 + bb) + s[1] ** 2 * (bb + abs(a) ** 2)
     else:
         x, y, z = cols
-        a, b, c, d, e, f = form(x, x), form(x, y), form(x, z), form(y, y), form(y, z), form(z, z)
+        a, b, c, d, e, f = _form(x, x), _form(x, y), _form(x, z), _form(y, y), _form(y, z), _form(z, z)
         ce_bf, be_cd, bc_ae = c * e - b * f, b * e - c * d, b * c - a * e
         adj = ((d * f - e * e, ce_bf, be_cd), (ce_bf, a * f - c * c, bc_ae), (be_cd, bc_ae, a * d - b * b))
         det = BILINEAR_SIGN * (a * adj[0][0] + b * ce_bf + c * be_cd)
@@ -323,11 +319,12 @@ def concurrence(rho: DensityMatrix | np.ndarray) -> float:
     return float(max(s[0] - s[1] - s[2] - s[3], 0.0))
 
 
-def three_tangle(psi: StateTensor) -> float:
-    """The three-tangle of a normalized 2x2x2 state: 4 |det222|."""
-    _require_format(psi, 2)
-    psi.require_normalized()
-    return 4.0 * abs(det222(psi))
+def _concurrence_sq(x, y) -> float:
+    """Squared concurrence of the pair density x x^H + y y^H (Python 4-vectors):
+    tau = [[a, b], [b, c]] of spin-flip forms has singular values l1 >= l2, so
+    C^2 = (l1 - l2)^2 = |a|^2 + 2|b|^2 + |c|^2 - 2|ac - b^2|, clamped at 0."""
+    a, b, c = _form(x, x), _form(x, y), _form(y, y)
+    return max(abs(a) ** 2 + 2 * abs(b) ** 2 + abs(c) ** 2 - 2 * abs(a * c - b * b), 0.0)
 
 
 def ckw_residual(psi: StateTensor) -> CkwReport:
@@ -335,18 +332,22 @@ def ckw_residual(psi: StateTensor) -> CkwReport:
 
     The Clare-vs-pair tangle (4 det of Clare's reduced state, the one-vs-rest
     tangle of a pure state) splits into the two pairwise squared concurrences
-    plus the three-tangle; the residual of that identity is the verification
-    target and should vanish to roundoff.
+    plus the three-tangle 4 |det222|; the residual of that identity is the
+    verification target and should vanish to roundoff. Each term comes from
+    the amplitudes p[4a + 2b + c] on Python numbers: a pair density is spanned
+    by one amplitude 4-vector per bit of the third party, and det rho_C is the
+    Gram determinant of Clare's two columns.
     """
     _require_format(psi, 2)
     psi.require_normalized()
-    rho3 = reduced_density(psi, 2)
-    c3_rest_sq = float(4.0 * np.linalg.det(rho3.entries).real)
-    c13 = concurrence(reduced_density(psi, 0, 2))
-    c23 = concurrence(reduced_density(psi, 1, 2))
-    tangle = three_tangle(psi)
-    residual = c3_rest_sq - c13**2 - c23**2 - tangle
-    return CkwReport(c3_rest_sq, c13**2, c23**2, tangle, residual)
+    p = psi.amplitudes.reshape(8).tolist()
+    u, v = p[0::2], p[1::2]
+    uv = sum(x.conjugate() * y for x, y in zip(u, v))
+    c3_rest_sq = 4 * (sum(abs(x) ** 2 for x in u) * sum(abs(y) ** 2 for y in v) - abs(uv) ** 2)
+    c13_sq = _concurrence_sq(p[0:2] + p[4:6], p[2:4] + p[6:8])
+    c23_sq = _concurrence_sq(p[0:4], p[4:8])
+    tangle = 4 * abs(_det222(p))
+    return CkwReport(c3_rest_sq, c13_sq, c23_sq, tangle, c3_rest_sq - c13_sq - c23_sq - tangle)
 
 
 def nonlocal_dimension(dims, delta: int) -> DimensionCount:

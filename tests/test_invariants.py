@@ -21,6 +21,7 @@ from entclass.errors import AmbiguityError, FormatError, NumericalInstabilityErr
 
 from conftest import ALL_LABELS, natural_n, random_invertible_op, rep
 
+EPS = np.finfo(float).eps
 SQ2 = math.sqrt(2.0)
 
 #: sha256 per generic-float report case; see ``invariant_report_digests``.
@@ -283,11 +284,11 @@ def test_concurrence_rejects_non_psd():
 
 def test_concurrence_agrees_with_purification_rtr(gen):
     # The concurrence spectrum of tr_3 |psi><psi| equals the singular values
-    # of R^T R of the purification.
+    # of R^T R of the purification, so they give its concurrence.
     from entclass.invariants import SPIN_FLIP
 
     for _ in range(300):
-        n = int(gen.integers(1, 9))
+        n = int(gen.integers(1, 17))
         psi = ec.random_state((2, 2, n), gen)
         rho = ec.reduced_density(psi, 0, 1)
         eigs, vecs = np.linalg.eigh(rho.entries)
@@ -300,11 +301,14 @@ def test_concurrence_agrees_with_purification_rtr(gen):
         padded = np.zeros(4)
         padded[:m] = s_rtr[:m]
         assert np.abs(s_conc - padded).max() < 1e-9
+        lam = ec.invariant_report(psi).singular_values_rtr[:4] + (0.0,) * 3
+        wootters = max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+        assert abs(wootters - ec.concurrence(rho)) < 64 * EPS
 
 
 @pytest.mark.parametrize("label,expected", [("GHZ", 1.0), ("W", 0.0), ("B3", 0.0)])
 def test_three_tangle_values(label, expected):
-    assert ec.three_tangle(rep(label)) == pytest.approx(expected, abs=1e-12)
+    assert ec.ckw_residual(rep(label)).tangle == pytest.approx(expected, abs=1e-12)
 
 
 def test_ckw_ghz():
@@ -332,9 +336,18 @@ def test_ckw_product_state():
 
 
 def test_ckw_residual_random(gen):
+    # The amplitude route agrees with the density route field by field.
     for _ in range(1000):
-        r = ec.ckw_residual(ec.random_state((2, 2, 2), gen))
-        assert abs(r.residual) < 1e-8
+        psi = ec.random_state((2, 2, 2), gen)
+        r = ec.ckw_residual(psi)
+        density = (
+            4 * np.linalg.det(ec.reduced_density(psi, 2).entries).real,
+            ec.concurrence(ec.reduced_density(psi, 0, 2)) ** 2,
+            ec.concurrence(ec.reduced_density(psi, 1, 2)) ** 2,
+            4 * abs(ec.det222(psi)),
+        )
+        assert max(abs(a - b) for a, b in zip(r, density)) < 1e-12
+        assert abs(r.residual) < 64 * EPS
 
 
 def test_w_maximizes_pairwise_sum(gen):

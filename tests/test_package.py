@@ -56,6 +56,7 @@ def test_pre_pipeline_helpers_are_gone():
         (classify, "PartialOrder"),
         (ec.tensor, "reduced_density_pair"),
         (ec.protocols, "two_bell"),
+        (ec.invariants, "three_tangle"),
     ):
         assert not hasattr(ec, name), name
         assert not hasattr(module, name), f"{module.__name__}.{name}"

@@ -21,7 +21,7 @@ def counted(monkeypatch):
     gufunc name, the np.linalg wrappers the kernel no longer calls, and
     apply_local calls through any binding, and np.errstate entries."""
     counts = dict.fromkeys(["svd_s", "svd", "eigvalsh_lo", "det", "apply_local", "errstate"], 0)
-    counts.update({f"np.linalg.{name}": 0 for name in ("svd", "eigvalsh", "det")})
+    counts.update({f"np.linalg.{name}": 0 for name in ("svd", "eigvalsh", "eigh", "det")})
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -44,7 +44,7 @@ def counted(monkeypatch):
             return super().__enter__()
 
     monkeypatch.setattr(np, "errstate", CountingErrstate)
-    for name in ("svd", "eigvalsh", "det"):
+    for name in ("svd", "eigvalsh", "eigh", "det"):
         monkeypatch.setattr(np.linalg, name, counting(f"np.linalg.{name}", getattr(np.linalg, name)))
     original = ec.tensor.apply_local
     wrapped = counting("apply_local", original)
@@ -66,6 +66,18 @@ def test_classify_call_budget(label, n, counted):
     assert counted["det"] == (label.rank_signature[2] == 3)  # the stacked det223 minors
     assert counted["np.linalg.svd"] == counted["np.linalg.eigvalsh"] == counted["np.linalg.det"] == 0
     assert counted["apply_local"] == 0
+
+
+def test_ckw_residual_call_budget(counted, gen):
+    # The monogamy terms come from the amplitudes on Python numbers: no
+    # LAPACK call, no np.linalg call (a DensityMatrix's check makes one) and
+    # no errstate.
+    states = [ec.representative(label, 2) for label in ("GHZ", "W")]
+    states += [ec.random_state((2, 2, 2), gen) for _ in range(5)]
+    before = dict(counted)
+    for psi in states:
+        ec.ckw_residual(psi)
+    assert counted == before
 
 
 def dressed_states(count_per_class, seed, max_cond=10.0):

@@ -58,7 +58,7 @@ def test_distill_ghz_branch():
     out = ec.distill_from_generic("GHZ")
     assert out.post_class == ec.ClassLabel.GHZ
     assert out.probability == pytest.approx(0.5, abs=1e-12)
-    assert ec.three_tangle(out.post_state) == pytest.approx(1.0, abs=1e-10)
+    assert ec.ckw_residual(out.post_state).tangle == pytest.approx(1.0, abs=1e-10)
 
 
 def test_distill_ghz_both_branches_land_in_class():

@@ -541,7 +541,7 @@ def test_norm_and_normalize_at_the_ends_of_the_float_range(label, scale):
 @pytest.mark.parametrize(
     "check",
     [
-        ec.three_tangle,
+        lambda psi: ec.ckw_residual(psi).tangle,
         ec.ckw_residual,
         lambda psi: ec.reduced_density(psi, 0),
     ],
