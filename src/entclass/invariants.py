@@ -72,11 +72,14 @@ _FLIP_SIGNS = BILINEAR_SIGN * np.array([[1.0], [-1.0], [-1.0], [1.0]])
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Every invariant the classifier consumes, plus each decision's distance.
+    """The invariants of a (2, 2, n) state, plus each class decision's distance.
 
     ``local_ranks`` uses the 1-based party convention (r1, r2, r3).
     ``singular_values_rtr`` are Wootters' lambda_i of the Alice-Bob reduced
-    density, so max(0, l1 - l2 - l3 - l4) is its concurrence.
+    density, so max(0, l1 - l2 - l3 - l4) is its concurrence; ``rank_rtr``
+    counts those above the tolerance. They decide no class, so the pair is
+    computed from the private flattening on its first read (an error of that
+    step, too, surfaces there) and then kept; repr, == and copies read it.
     ``det222``/``det223`` are present only when the rank-adjusted format
     admits them (r3 <= 2 and r3 <= 3; ``det223`` is exactly 0 for r3 <= 2).
     Their phases depend on the Clare rotation, so only moduli are contractual.
@@ -86,13 +89,22 @@ class InvariantReport:
     """
 
     local_ranks: tuple[int, int, int]
-    rank_rtr: int
-    singular_values_rtr: tuple[float, ...]
+    rank_rtr: int = field(init=False)
+    singular_values_rtr: tuple[float, ...] = field(init=False)
     det222: complex | None
     det223: complex | None
     norm: float
     tolerances: TolerancePolicy
     distances: dict[str, float]
+    _flat: np.ndarray = field(repr=False, compare=False)  # the unit 4 x n state
+
+    def __getattr__(self, name):  # only fields not yet set reach here
+        if name not in ("rank_rtr", "singular_values_rtr"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        svals = tuple(_lapack(_svd, _rtr(self._flat)).tolist())
+        object.__setattr__(self, "singular_values_rtr", svals)
+        object.__setattr__(self, "rank_rtr", sum(x > self.tolerances.distance_eps for x in svals))
+        return vars(self)[name]
 
 
 class CkwReport(NamedTuple):
@@ -204,10 +216,10 @@ def _rtr(f: np.ndarray) -> np.ndarray:
     state, from its magic-basis image R = MAGIC_BASIS f. It is checked against
     the spin-flip bilinear form on ``f``: the two n x n matrices must agree
     (up to the sign fixed at import), else the call fails rather than return
-    a silently unstable invariant. ``invariant_report`` takes its descending
-    singular values in its LAPACK block: Wootters' lambda_i of the Alice-Bob
-    reduced density, which give its concurrence. The rank, their count above
-    the policy's tolerance, decides no class."""
+    a silently unstable invariant. The first read of an ``InvariantReport``'s
+    R^T R pair takes its descending singular values: Wootters' lambda_i of the
+    Alice-Bob reduced density, which give its concurrence. The rank, their
+    count above the policy's tolerance, decides no class."""
     r = MAGIC_BASIS @ f
     via_magic = r.T @ r
     deviation = abs(via_magic - f.T @ (f[::-1] * _FLIP_SIGNS)).max()
@@ -372,10 +384,12 @@ def invariant_report(
 
     The state is normalized by one exact power-of-two scaling, so psi * 2**k
     changes only ``norm``, the original 2-norm (inf above the float range).
-    Three steps: build the operands (the flattened state, the stacked
-    Alice/Bob unfoldings, the cross-checked R^T R); take their three SVDs in
-    one LAPACK block under the errstate np.linalg sets, which covers nothing
-    else; decide and check on Python numbers. The SVD F = U diag(s) V^dagger
+    Three steps: build the operands (the flattened state and the stacked
+    Alice/Bob unfoldings); take their two SVDs in one LAPACK block under the
+    errstate np.linalg sets, which covers nothing else; decide and check on
+    Python numbers. The report keeps the flattened state, from which the first
+    read of ``rank_rtr`` or ``singular_values_rtr`` builds the cross-checked
+    R^T R and takes its SVD. The SVD F = U diag(s) V^dagger
     of the flattened state gives Clare's rank r3 and, via her unitary V^T,
     the rank-adjusted state U[:, :r3] diag(s[:r3]) zero-padded to 2 or 3
     levels, on which the determinants are evaluated, literally and by
@@ -386,13 +400,10 @@ def invariant_report(
     amps, norm = _unit_and_norm(psi.amplitudes)
     f = amps.reshape(4, -1)
     pair = np.concatenate((amps, amps.transpose(1, 0, 2))).reshape(2, 2, -1)
-    rtr = _rtr(f)
     with _errstate(_svd_failed):  # the gufunc calls only
         u, s, _ = _lapack(_svd_s, f, signature="D->DdD", fail=None)
         singular = _lapack(_svd, pair, fail=None).tolist()
-        svals_rtr = tuple(_lapack(_svd, rtr, fail=None).tolist())
     ranks, kept = _local_spectra(f, pair, singular + [s.tolist()], policy)
-    rank_rtr = sum(x > policy.distance_eps for x in svals_rtr)
     distances = {"local_ranks": kept}
     # Adjusted states have unit norm, up to the dropped sub-threshold weight.
     r3 = ranks[2]
@@ -411,6 +422,4 @@ def invariant_report(
             raise NumericalInstabilityError(
                 f"literal Det{'222' if r3 <= 2 else '223'} {literal:.6g} and its -det A route "
                 f"{route:.6g} differ by {abs(literal - route):.3g}, above the bound {ZERO_FLOOR:.3g}")
-    return InvariantReport(
-        ranks, rank_rtr, svals_rtr, det222_val, det223_val, norm, policy, distances
-    )
+    return InvariantReport(ranks, det222_val, det223_val, norm, policy, distances, f)

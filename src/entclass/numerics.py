@@ -90,9 +90,10 @@ def _lapack(gufunc, *operands, signature="D->d", fail=_svd_failed):
     without its per-call array, shape and dtype checks, which cost as much as
     the call on the library's small complex inputs. ``fail=None`` sets no
     errstate: the call runs in the caller's, as det does (np.linalg.det sets
-    none) and as ``invariant_report``'s three SVDs do under one
-    ``_errstate(_svd_failed)``. Concurrence, the density check and
-    ``_is_invertible`` keep np.linalg's wrapper."""
+    none) and as ``invariant_report``'s two SVDs do under one
+    ``_errstate(_svd_failed)``; the SVD of R^T R, on a report's first read of
+    it, sets its own. Concurrence, the density check and ``_is_invertible``
+    keep np.linalg's wrapper."""
     if fail is None:
         return gufunc(*operands, signature=signature)
     with _errstate(fail):

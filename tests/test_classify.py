@@ -88,11 +88,16 @@ def test_min_clare_dim_is_the_clare_rank(label):
     assert label.min_clare_dim == ec.invariant_report(psi).local_ranks[2]
 
 
+#: The unit 4 x n flattening a hand-built report carries: GHZ's, the state
+#: those tests classify.
+GHZ_FLAT = rep("GHZ").amplitudes.reshape(4, -1)
+
+
 def test_illegal_signature_rejected(monkeypatch):
     # A signature no 2x2xn state has is an unresolved decision, not a label:
     # the error carries the smallest kept singular value and the band.
     report = ec.InvariantReport(
-        (1, 2, 1), 0, (), None, None, 1.0, ec.DEFAULT_POLICY, {"local_ranks": 0.25}
+        (1, 2, 1), None, None, 1.0, ec.DEFAULT_POLICY, {"local_ranks": 0.25}, GHZ_FLAT
     )
     module = importlib.import_module("entclass.classify")
     monkeypatch.setattr(module, "invariant_report", lambda psi, policy: report)
@@ -163,7 +168,7 @@ def decision_rule_table(monkeypatch) -> dict[str, str]:
         elif signature[2] == 3:
             distances["det223"] = det
         report = ec.InvariantReport(
-            signature, 0, (), None, None, 1.0, ec.DEFAULT_POLICY, distances
+            signature, None, None, 1.0, ec.DEFAULT_POLICY, distances, GHZ_FLAT
         )
         monkeypatch.setattr(module, "invariant_report", lambda psi, policy: report)
         try:

@@ -290,6 +290,18 @@ def test_cli_lapack_failure_exits_one(tmp_path, capsys, monkeypatch):
     assert (code, out, err) == (1, "", "entclass: SVD did not converge\n")
 
 
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+def test_cli_rtr_route_disagreement_exits_one(command, tmp_path, capsys, monkeypatch):
+    # The report computes R^T R when the CLI reads it, inside the request:
+    # the route check's error still exits 1 with its numbers.
+    monkeypatch.setattr(ec.invariants, "MAGIC_BASIS", ec.MAGIC_BASIS * (1 + 1e-6))
+    path = write_state(tmp_path, ec.representative("GHZ", 2))
+    code, out, err = invoke([command, "--in", path], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("entclass: magic-basis and spin-flip routes to R^T R disagree: max deviation ")
+    assert err.endswith(" exceeds the bound 1e-10\n")
+
+
 def test_invariants_subcommand(tmp_path, capsys):
     path = write_state(tmp_path, ec.representative("W", 3))
     code, out, err = invoke(["invariants", "--in", path], capsys)

@@ -2,11 +2,13 @@
 concurrence, the three-tangle, monogamy residuals, dimension counts."""
 
 import collections
+import copy
 import dataclasses
 import hashlib
 import importlib.util
 import json
 import math
+import pickle
 import sys
 import types
 from pathlib import Path
@@ -23,6 +25,10 @@ from conftest import ALL_LABELS, natural_n, random_invertible_op, rep
 
 EPS = np.finfo(float).eps
 SQ2 = math.sqrt(2.0)
+
+#: The eight public InvariantReport fields, in order; the private flattening
+#: the pair is computed from is not one of them.
+REPORT_FIELDS = [f.name for f in dataclasses.fields(ec.InvariantReport) if not f.name.startswith("_")]
 
 #: sha256 per generic-float report case; see ``invariant_report_digests``.
 DIGESTS = json.loads(
@@ -172,10 +178,75 @@ def test_rtr_route_disagreement_reports_its_numbers(monkeypatch):
     flip = ec.BILINEAR_SIGN * (f.T @ ec.SPIN_FLIP @ f)
     deviation = np.abs(r.T @ r - flip).max()
     assert deviation > 1e-10
+    report = ec.invariant_report(psi)
     with pytest.raises(NumericalInstabilityError) as err:
-        ec.invariant_report(psi)
+        report.singular_values_rtr
     assert f"max deviation {deviation:.3g}" in str(err.value)
     assert "bound 1e-10" in str(err.value)
+
+
+def test_rtr_route_disagreement_surfaces_on_every_read(monkeypatch):
+    # R^T R decides no class, so classify never builds it: the label stands,
+    # and each read of the pair raises, since a failed read keeps nothing.
+    monkeypatch.setattr(invariants, "MAGIC_BASIS", ec.MAGIC_BASIS * (1 + 1e-6))
+    label, report = ec.classify(rep("GHZ"))
+    assert label == ec.ClassLabel.GHZ
+    messages = []
+    for name in ("singular_values_rtr", "singular_values_rtr", "rank_rtr"):
+        with pytest.raises(NumericalInstabilityError, match=r"max deviation .* the bound 1e-10$") as err:
+            getattr(report, name)
+        messages.append(str(err.value))
+    assert len(set(messages)) == 1
+    assert "rank_rtr" not in vars(report) and "singular_values_rtr" not in vars(report)
+
+
+#: sha256 of the reprs, one per line, of the reports on the dressed states of
+#: ``dressed_reports(n)``, as printed when the pipeline computed the R^T R
+#: pair up front, before any read.
+EAGER_REPR_DIGESTS = {
+    2: "d85ac9e73e91c1b2b8f8561de43c5759d9af5e2a159826e8cd9a928bb3c95bea",
+    3: "7188abdde918fc330fbab63146bc9ad01ff2725b0e5c3b156bef0ec4d0160a42",
+    4: "cc227bac98227935dcbf00fed9eee5621201c937be27712101487be0a50bc719",
+    16: "2a24b97190a31a65513dfbc411b1570cc8ed6085b5a639f873863af73694a28b",
+}
+
+
+def dressed_reports(n):
+    """The report of each class representative at Clare dimension n, dressed
+    by random SL maps from stream 100 n + (the class's index)."""
+    for c, label in enumerate(ALL_LABELS):
+        if label.min_clare_dim <= n:
+            psi = ec.representative(label, n)
+            op = random_invertible_op(psi.dims, ec.RandomSource(28, 100 * n + c).generator())
+            yield ec.invariant_report(ec.apply_local(op, psi))
+
+
+@pytest.mark.parametrize("n", sorted(EAGER_REPR_DIGESTS))
+def test_report_value_semantics_around_the_first_read(n, monkeypatch):
+    # Each report object computes the pair once, on its first read; pickle
+    # and copies of a read report carry it, while copies taken before that
+    # read, and ``replace`` (init=False fields are not passed), compute their
+    # own. Every copy is == and prints the repr of the up-front pipeline.
+    calls = []
+    rtr = invariants._rtr
+    monkeypatch.setattr(invariants, "_rtr", lambda f: calls.append(1) or rtr(f))
+    texts = []
+    for report in dressed_reports(n):
+        copies = [pickle.loads(pickle.dumps(report)), copy.copy(report), copy.deepcopy(report)]
+        copies.append(dataclasses.replace(report))
+        assert calls == []
+        texts.append(repr(report))
+        assert len(calls) == 1
+        carried = [pickle.loads(pickle.dumps(report)), copy.copy(report), copy.deepcopy(report)]
+        assert [repr(r) for r in carried] == [texts[-1]] * 3
+        assert len(calls) == 1
+        copies.append(dataclasses.replace(report))
+        assert [repr(r) for r in copies] == [texts[-1]] * 5
+        assert len(calls) == 6
+        assert all(r == report for r in copies + carried) and report == report
+        assert repr(report) == texts[-1] and len(calls) == 6
+        calls.clear()
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == EAGER_REPR_DIGESTS[n]
 
 
 def test_signed_reversal_is_the_spin_flip_product(gen):
@@ -533,7 +604,7 @@ def invariant_report_digests() -> dict[str, str]:
     for key, psi in cases.items():
         label, report = ec.classify(psi)
         texts = [repr(label)]
-        texts += [repr(getattr(report, f.name)) for f in dataclasses.fields(report)]
+        texts += [repr(getattr(report, name)) for name in REPORT_FIELDS]
         digests[key] = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     return digests
 
@@ -582,17 +653,21 @@ def _failing_lapack(position, monkeypatch):
 
 @pytest.mark.parametrize("position", [1, 2, 3])
 def test_each_svd_of_the_block_raises_on_the_invalid_flag(position, monkeypatch):
+    # The block's two SVDs fail the report; the R^T R SVD, third, fails the
+    # first read of the pair.
     names = _failing_lapack(position, monkeypatch)
     with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
-        ec.invariant_report(rep("GHZ"))
+        report = ec.invariant_report(rep("GHZ"))
+        assert position == 3
+        report.singular_values_rtr
     assert names == ["svd_s", "svd", "svd"][:position]
 
 
 def test_eigvalsh_keeps_its_own_failure_message(monkeypatch):
-    names = _failing_lapack(4, monkeypatch)
+    names = _failing_lapack(3, monkeypatch)
     with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
         ec.invariant_report(ec.representative("C223_GEN", 3))
-    assert names == ["svd_s", "svd", "svd", "eigvalsh_lo"]
+    assert names == ["svd_s", "svd", "eigvalsh_lo"]
 
 
 def test_invalid_value_outside_the_block_is_no_lapack_error(monkeypatch):
@@ -629,10 +704,12 @@ def test_report_equals_the_public_linalg_route(n, r3, monkeypatch):
     psi = ec.StateTensor((2, 2, n), (a @ b).reshape(2, 2, n))
     kernel = ec.invariant_report(psi)
     assert kernel.local_ranks[2] == r3
+    assert len(REPORT_FIELDS) == 8
+    expected = [repr(getattr(kernel, name)) for name in REPORT_FIELDS]  # read before the patch
     monkeypatch.setattr(invariants, "_lapack", _public_lapack)
     public = ec.invariant_report(psi)
-    for field in dataclasses.fields(ec.InvariantReport):
-        assert repr(getattr(kernel, field.name)) == repr(getattr(public, field.name)), field.name
+    for name, text in zip(REPORT_FIELDS, expected):
+        assert repr(getattr(public, name)) == text, name
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e120])

@@ -59,13 +59,21 @@ def counted(monkeypatch):
 @pytest.mark.parametrize("label", ALL_LABELS, ids=lambda l: l.name)
 def test_classify_call_budget(label, n, counted):
     psi = ec.representative(label, natural_n(label) if n is None else n)
-    assert ec.classify(psi)[0] == label
-    assert (counted["svd_s"], counted["svd"]) == (1, 2)
+    got, report = ec.classify(psi)
+    assert got == label
+    assert (counted["svd_s"], counted["svd"]) == (1, 1)
     assert counted["eigvalsh_lo"] == (psi.dims[2] != 2)  # Clare's 2x2 density is closed form
     assert counted["errstate"] == 1 + counted["eigvalsh_lo"]  # the SVD block's, eigvalsh's own
     assert counted["det"] == (label.rank_signature[2] == 3)  # the stacked det223 minors
     assert counted["np.linalg.svd"] == counted["np.linalg.eigvalsh"] == counted["np.linalg.det"] == 0
     assert counted["apply_local"] == 0
+    # The first read of the R^T R pair adds its one SVD under its own
+    # errstate; later reads add nothing.
+    before = dict(counted)
+    report.singular_values_rtr
+    assert counted == dict(before, svd=2, errstate=before["errstate"] + 1)
+    report.rank_rtr, report.singular_values_rtr
+    assert counted == dict(before, svd=2, errstate=before["errstate"] + 1)
 
 
 def test_ckw_residual_call_budget(counted, gen):
