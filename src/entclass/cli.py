@@ -171,7 +171,7 @@ def _serialize_invariants(report: InvariantReport, psi: StateTensor) -> dict:
     return {
         "local_ranks": list(report.local_ranks),
         "rank_rtr": report.rank_rtr,
-        "singular_values_rtr": [float(s) for s in report.singular_values_rtr],
+        "singular_values_rtr": list(report.singular_values_rtr),
         "det222": report.det222,
         "det222_abs": None if report.det222 is None else abs(report.det222),
         "det223": report.det223,

@@ -308,7 +308,7 @@ def _det223(a: np.ndarray):
     over the four row selections of every state."""
     minors = a.reshape(a.shape[:-3] + (4, 3)).take(_DET223_ROWS, axis=-2)
     d = _lapack(_det, minors, signature="D->D", fail=None)
-    d = np.moveaxis(d, -1, 0)
+    d = d.transpose(d.ndim - 1, *range(d.ndim - 1))  # np.moveaxis(d, -1, 0)
     return d[0] * d[1] - d[2] * d[3]
 
 

@@ -11,11 +11,11 @@ the diagonal frame and its arithmetic-geometric-mean majorant).
 
 One engine evaluates the check for a stack of states. Per pair dimension
 k (one for det222, at most two for det223), one stacked QR draws the
-unitaries and one batched matmul builds both POVM elements; per measured
-party, one batched matmul applies them; and the measure is evaluated once
-for the stack. Seeded trials run through it in blocks; ``check_monotone``,
-``apply_povm`` and ``monotone_trial`` are stacks of one, so every route
-computes a trial with the same arithmetic.
+unitaries, one batched matmul builds both POVM elements, and one gather,
+matmul and scatter apply them, whatever the parties measured; the measure
+is evaluated once for the stack. Seeded trials run through it in blocks;
+``check_monotone``, ``apply_povm`` and ``monotone_trial`` are stacks of
+one, so every route computes a trial with the same arithmetic.
 """
 
 from __future__ import annotations
@@ -63,6 +63,20 @@ _BLOCK = 64
 
 #: The k x k identity, built once per k; a read-only view, since every call shares it.
 _eye = functools.cache(lambda k: np.broadcast_to(np.eye(k), (k, k)))
+
+#: The two outcomes' index in a scatter of both at once.
+_OUTCOMES = np.arange(2)[:, None]
+
+
+@functools.cache
+def _party_order(dims: tuple[int, ...]) -> np.ndarray:
+    """Per party, the flat indices of a ``dims`` state with that party's
+    axis first and the others in order: the operand ``np.tensordot``
+    contracts. Built once per dims and read-only, since every call shares it."""
+    index = np.arange(math.prod(dims)).reshape(dims)
+    order = np.array([np.moveaxis(index, party, 0).reshape(-1) for party in range(len(dims))])
+    order.setflags(write=False)
+    return order
 
 
 def _measure(measure: str, psi: StateTensor | None = None):
@@ -291,9 +305,11 @@ def _apply(psi: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     ``groups`` holds (parties, rows, elements) per pair dimension k: the
     rows of ``psi`` measured by pairs of side k, the party each of them
-    measures and their (len(rows), 2, k, k) elements. Returns the outcome
-    probabilities (B, 2), the probability-zero branches (B, 2) and the
-    outcome states (B, 2, *dims), normalized except on those branches.
+    measures and their (len(rows), 2, k, k) elements; one gather (see
+    ``_party_order``), one matmul and one scatter per group measure them,
+    whatever their parties. Returns the outcome probabilities (B, 2), the
+    probability-zero branches (B, 2) and the outcome states (B, 2, *dims),
+    normalized except on those branches.
     """
     count, dims = len(psi), psi.shape[1:]
     if not np.isfinite(psi).all():
@@ -303,28 +319,20 @@ def _apply(psi: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     off = np.abs(norm_sq - 1.0) > 1e-9
     if off.any():
         raise NormalizationError(f"state has squared norm {norm_sq[off][0]:.6g}, expected 1")
-    raw = np.empty((count, 2) + dims, dtype=complex)
+    flat = psi.reshape(count, -1)
+    raw = np.empty((count, 2, flat.shape[1]), dtype=complex)
     for parties, rows, elements in groups:
         k = elements.shape[-1]
+        # Checked before the gather: a party of -1 would read the last row.
         for party in sorted(set(parties.tolist())):
             if not 0 <= party < len(dims):
                 raise FormatError(f"party {party} out of range")
             if k != dims[party]:
                 raise FormatError(f"pair acts on dimension {k}, party has {dims[party]}")
-            mine = parties == party
-            if len(rows) == count and mine.all():
-                # One party measuring the whole stack needs no gather/scatter.
-                at = mine = slice(None)
-            else:
-                at = rows[mine]
-            others = [axis for axis in range(1, len(dims) + 1) if axis != party + 1]
-            moved = psi[at].transpose(0, party + 1, *others)
-            out = elements[mine] @ moved.reshape(len(moved), 1, k, -1)
-            # Axis 2 of out is the measured party; put it back in its place.
-            back = list(range(3, len(dims) + 2))
-            back.insert(party, 2)
-            raw[at] = out.reshape(out.shape[:3] + moved.shape[2:]).transpose(0, 1, *back)
-    probabilities = (raw.real**2 + raw.imag**2).reshape(count, 2, -1).sum(axis=2)
+        order = _party_order(dims)[parties]
+        out = elements @ flat[rows[:, None], order].reshape(len(rows), 1, k, -1)
+        raw[rows[:, None, None], _OUTCOMES, order[:, None]] = out.reshape(len(rows), 2, -1)
+    probabilities = (raw.real**2 + raw.imag**2).sum(axis=2)
     total = probabilities[:, 0] + probabilities[:, 1]
     off = np.abs(total - 1.0) > 1e-10
     if off.any():
@@ -332,8 +340,8 @@ def _apply(psi: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     null = probabilities < NULL_BRANCH_EPS
     # Dividing real and imaginary parts keeps each entry independent of the stack.
     scale = np.sqrt(np.where(null, 1.0, probabilities))
-    states = raw.view(float) / scale.reshape(scale.shape + (1,) * len(dims))
-    return probabilities, null, states.view(complex)
+    states = raw.view(float) / scale[..., None]
+    return probabilities, null, states.view(complex).reshape((count, 2) + dims)
 
 
 class _Evaluated(NamedTuple):
@@ -485,8 +493,9 @@ def _run_block(measure: str, seed: int, trials, party: int | None) -> _Evaluated
     sq = np.empty(count)
     # Per pair dimension k: the rows its pairs measure, their parties,
     # diagonals (alphas, then betas) and unitaries' normals, in draw order.
+    ks = sorted(set(dims)) if party is None else [dims[party]]  # a fixed party draws one k
     drawn = {k: (np.empty(count, int), np.empty(count, int), np.empty((count, 2, k)),
-                 np.empty((count, 6 * k * k))) for k in sorted(set(dims))}
+                 np.empty((count, 6 * k * k))) for k in ks}
     used = dict.fromkeys(drawn, 0)
     for row, gen in enumerate(_substreams(seed, trials)):
         normals[row], sq[row] = _draw_state(gen, size)

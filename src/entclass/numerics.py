@@ -90,8 +90,9 @@ def _lapack(gufunc, *operands, signature="D->d", fail=_svd_failed):
     without its per-call array, shape and dtype checks, which cost as much as
     the call on the library's small complex inputs. ``fail=None`` sets no
     errstate: the call runs in the caller's, as det does (np.linalg.det sets
-    none) and as ``invariant_report``'s two SVDs do under one
-    ``_errstate(_svd_failed)``; the SVD of R^T R, on a report's first read of
+    none), as ``invariant_report``'s two SVDs do under one
+    ``_errstate(_svd_failed)`` and as ``_haar``'s two QR calls do under one
+    ``_errstate(_qr_failed)``; the SVD of R^T R, on a report's first read of
     it, sets its own. Concurrence, the density check and ``_is_invertible``
     keep np.linalg's wrapper."""
     if fail is None:
@@ -181,11 +182,11 @@ def _substreams(seed: int, streams):
     """One generator rekeyed to (seed, s) for each stream s in turn.
 
     It yields the draws of ``RandomSource(seed, s).generator()``; rekeying one
-    Philox is cheaper than building a generator per stream. The seed and
-    each stream are checked as ``RandomSource`` checks them.
+    Philox on ``_fixed_seed`` is cheaper than building a generator per
+    stream. The seed and each stream are checked as ``RandomSource`` does.
     """
-    gen = RandomSource(seed).generator()
-    state = _philox_state(seed, 0)
+    gen = np.random.Generator(np.random.Philox(_fixed_seed()))
+    state = _philox_state(_check_key("seed", seed), 0)
     key = state["state"]["key"]
     for stream in streams:
         key[1] = _check_key("stream", stream)
@@ -195,10 +196,12 @@ def _substreams(seed: int, streams):
 
 def _haar(normals: np.ndarray) -> np.ndarray:
     """Haar unitaries from (..., 2, k, k) standard normals, real parts first:
-    one QR over the whole stack, as np.linalg.qr makes it, then the phase fix."""
+    one QR over the whole stack, as np.linalg.qr makes it, its two gufunc
+    calls under one errstate, then the phase fix."""
     z = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / math.sqrt(2.0)
-    tau = _lapack(_qr_r_raw, z, signature="D->D", fail=_qr_failed)  # R into z's upper triangle
-    q = _lapack(_qr_reduced, z, tau, signature="DD->D", fail=_qr_failed)
+    with _errstate(_qr_failed):
+        tau = _lapack(_qr_r_raw, z, signature="D->D", fail=None)  # R into z's upper triangle
+        q = _lapack(_qr_reduced, z, tau, signature="DD->D", fail=None)
     d = np.diagonal(z, axis1=-2, axis2=-1).copy()
     d[np.abs(d) < 1e-300] = 1.0
     return q * (d / np.abs(d))[..., None, :]
@@ -216,7 +219,7 @@ def _draw_state(gen: np.random.Generator, size: int) -> tuple[np.ndarray, float]
     ``_normalized`` turns draws and squared norms into states."""
     while True:
         x = gen.standard_normal(2 * size)
-        sq = float(x @ x)
+        sq = float(x.dot(x))
         if sq > 1e-300:
             return x, sq
 

@@ -12,7 +12,7 @@ import pytest
 
 import entclass as ec
 from entclass.errors import FormatError, NormalizationError, ProofChainError
-from entclass.monotone import _BLOCK, _draw_pair
+from entclass.monotone import _BLOCK, _apply, _draw_pair
 
 from conftest import random_diagonal_pair, rep, uniform_block_state
 
@@ -146,6 +146,71 @@ def test_apply_povm_null_branch():
     chk = ec.check_monotone(psi, pair, "det222")
     assert chk.passed
     assert chk.after_avg == pytest.approx(chk.before, abs=1e-12)
+
+
+def _per_party(psi, groups):
+    """``_apply`` as it was before its one-pass gather: per measured party,
+    a transpose that puts the party first, a reshape, a matmul and the
+    inverse transpose into place."""
+    count, dims = len(psi), psi.shape[1:]
+    raw = np.empty((count, 2) + dims, dtype=complex)
+    for parties, rows, elements in groups:
+        k = elements.shape[-1]
+        for party in sorted(set(parties.tolist())):
+            mine = parties == party
+            others = [axis for axis in range(1, len(dims) + 1) if axis != party + 1]
+            moved = psi[rows[mine]].transpose(0, party + 1, *others)
+            out = elements[mine] @ moved.reshape(len(moved), 1, k, -1)
+            back = list(range(3, len(dims) + 2))
+            back.insert(party, 2)
+            raw[rows[mine]] = out.reshape(out.shape[:3] + moved.shape[2:]).transpose(0, 1, *back)
+    probabilities = (raw.real**2 + raw.imag**2).reshape(count, 2, -1).sum(axis=2)
+    scale = np.sqrt(probabilities).reshape((count, 2) + (1,) * len(dims))
+    return probabilities, (raw.view(float) / scale).view(complex)
+
+
+def _stack(dims, count, seed):
+    states = (ec.random_state(dims, ec.RandomSource(seed, t)) for t in range(count))
+    return np.array([psi.amplitudes for psi in states])
+
+
+def _group(dims, rows, parties, seed):
+    """A group of random pairs measuring ``rows`` of a stack at ``parties``."""
+    elements = [ec.random_povm_pair(dims[p], ec.RandomSource(seed, i))._elements
+                for i, p in enumerate(parties)]
+    return np.array(parties), np.array(rows), np.array(elements)
+
+
+@pytest.mark.parametrize(
+    "dims, groups",
+    [
+        # One det222 group: rows out of order, parties interleaved.
+        ((2, 2, 2), [((3, 0, 2, 1), (2, 0, 1, 0))]),
+        # det223: a k = 2 group at parties 1 and 0, and a k = 3 group.
+        ((2, 2, 3), [((4, 1, 2), (1, 0, 1)), ((3, 0), (2, 2))]),
+    ],
+)
+def test_one_pass_apply_matches_the_per_party_products(dims, groups):
+    groups = [_group(dims, rows, parties, 40 + i) for i, (rows, parties) in enumerate(groups)]
+    psi = _stack(dims, sum(len(rows) for _, rows, _ in groups), 9)
+    probabilities, null, states = _apply(psi, groups)
+    want_probabilities, want_states = _per_party(psi, groups)
+    assert not null.any()
+    assert np.array_equal(probabilities, want_probabilities)
+    assert np.array_equal(states, want_states)
+
+
+@pytest.mark.parametrize("dims", [(3, 2), (2, 3, 4), (2, 2, 16)])
+def test_apply_povm_matches_the_per_party_products_on_any_format(dims):
+    psi = ec.random_state(dims, ec.RandomSource(8))
+    for party, k in enumerate(dims):
+        pair = ec.random_povm_pair(k, ec.RandomSource(8, party + 1), party=party)
+        outcomes = ec.apply_povm(psi, pair)
+        group = (np.array([party]), np.array([0]), pair._elements[None])
+        probabilities, states = _per_party(psi.amplitudes[None], [group])
+        for mu, outcome in enumerate(outcomes):
+            assert outcome.probability == probabilities[0, mu]
+            assert np.array_equal(outcome.state.amplitudes, states[0, mu])
 
 
 def test_check_monotone_ghz_random_pairs():
@@ -373,16 +438,22 @@ def test_monte_carlo_fixed_party():
 )
 def test_monte_carlo_lapack_call_budget(measure, party, trials, groups, monkeypatch):
     # Per block: one qr_r_raw and one qr_reduced per pair dimension drawn,
-    # and one stacked det for det223; nothing through np.linalg.
-    calls = []
+    # sharing one errstate, and one stacked det for det223 in the caller's
+    # errstate; nothing through np.linalg.
+    calls, errstates = [], []
     for module in (ec.numerics, ec.invariants):
-        lapack = module._lapack
+        lapack, errstate = module._lapack, module._errstate
 
         def counting(gufunc, *args, lapack=lapack, **kwargs):
             calls.append(gufunc.__name__)
             return lapack(gufunc, *args, **kwargs)
 
+        def entering(fail, errstate=errstate):
+            errstates.append(fail)
+            return errstate(fail)
+
         monkeypatch.setattr(module, "_lapack", counting)
+        monkeypatch.setattr(module, "_errstate", entering)
     for name in ("qr", "det", "svd"):
         monkeypatch.setattr(np.linalg, name, None)
     summary = ec.monte_carlo(measure, trials, seed=5, party=party)
@@ -391,6 +462,7 @@ def test_monte_carlo_lapack_call_budget(measure, party, trials, groups, monkeypa
     assert calls.count("qr_r_raw") == calls.count("qr_reduced") == sum(groups)
     assert calls.count("det") == (blocks if measure == "det223" else 0)
     assert len(calls) == 2 * sum(groups) + calls.count("det")
+    assert errstates == [ec.numerics._qr_failed] * sum(groups)
 
 
 @pytest.mark.parametrize("party", [None, 0, 2])
@@ -675,8 +747,9 @@ def test_engine_rejects_a_pair_of_the_wrong_dimension_or_party():
     psi = ec.random_state((2, 2, 3), ec.RandomSource(3))
     with pytest.raises(FormatError, match="dimension"):
         ec.check_monotone(psi, ec.equality_case_povm(3, 0.5, party=0), "det223")
-    with pytest.raises(FormatError, match="out of range"):
-        ec.apply_povm(psi, ec.equality_case_povm(2, 0.5, party=3))
+    for party in (3, -1):
+        with pytest.raises(FormatError, match="out of range"):
+            ec.apply_povm(psi, ec.equality_case_povm(2, 0.5, party=party))
 
 
 @pytest.mark.parametrize(
