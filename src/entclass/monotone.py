@@ -15,7 +15,9 @@ unitaries, one batched matmul builds both POVM elements, and one gather,
 matmul and scatter apply them, whatever the parties measured; the measure
 is evaluated once for the stack. Seeded trials run through it in blocks;
 ``check_monotone``, ``apply_povm`` and ``monotone_trial`` are stacks of
-one, so every route computes a trial with the same arithmetic.
+one, so every route computes a trial with the same arithmetic. A caller's
+pair is checked when ``PovmPair`` is built, and a caller's state when it
+enters a public route; the engine does not check its own draws again.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FormatError, NormalizationError, ProofChainError
+from .errors import FormatError, ProofChainError
 from .invariants import _det222, _det223, det222, det223
 from .numerics import (
     RandomSource,
@@ -93,36 +95,9 @@ def _measure(measure: str, psi: StateTensor | None = None):
 
 
 def _pair_elements(u: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Validate a stack of pairs and build their elements.
-
-    ``u`` is (G, 3, k, k) holding u1, u2 and v; ``diag`` is (G, 2, k)
-    holding the alphas and the betas. Returns the (G, 2, k, k) elements
-    u_mu diag_mu v.
-    """
-    eye = _eye(u.shape[-1])
-    unitarity = np.abs(u.conj().swapaxes(-1, -2) @ u - eye)
-    norms = np.abs((diag * diag).sum(axis=1) - 1.0)
-    # One test of every residual; a failure or a NaN takes the per-factor
-    # route that picks the message, before non-finite input is multiplied.
-    if not (
-        unitarity.max() <= 1e-10
-        and -1e-12 <= diag.min()
-        and diag.max() <= 1 + 1e-12
-        and norms.max() <= 1e-10
-    ):
-        bad = np.flatnonzero((unitarity.max(axis=(-2, -1)) > 1e-10).any(axis=0))
-        if bad.size:
-            name = ("u1", "u2", "v")[bad[0]]
-            raise FormatError(f"{name} is not unitary within tolerance")
-        if not ((diag >= -1e-12) & (diag <= 1 + 1e-12)).all():
-            raise FormatError("diagonal entries must lie in [0, 1]")
-        if (norms > 1e-10).any():
-            raise FormatError("alpha_i^2 + beta_i^2 must equal 1")
-    elements = u[:, :2] @ (diag[..., None] * u[:, 2:])
-    gram = elements.conj().swapaxes(-1, -2) @ elements
-    if np.abs(gram[:, 0] + gram[:, 1] - eye).max() > 1e-10:
-        raise FormatError("POVM elements do not sum to the identity")
-    return elements
+    """The (G, 2, k, k) elements u_mu diag_mu v, unchecked, of the (G, 3, k, k)
+    unitaries u1, u2, v and the (G, 2, k) diagonals alphas, betas."""
+    return u[:, :2] @ (diag[..., None] * u[:, 2:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,8 +129,20 @@ class PovmPair:
             if factor.shape != (k, k):
                 raise FormatError(f"{name} must be {k}x{k}, got {factor.shape}")
             factors.append(factor)
+        for name, factor in zip(("u1", "u2", "v"), factors):
+            # A unitary's entries are at most 1: this keeps NaN, inf and overflow out of the product.
+            if not (np.abs(factor).max() <= 2 and np.abs(factor.conj().T @ factor - _eye(k)).max() <= 1e-10):
+                raise FormatError(f"{name} is not unitary within tolerance")
+        diag = np.array([alphas, betas])
+        if not ((diag >= -1e-12) & (diag <= 1 + 1e-12)).all():
+            raise FormatError("diagonal entries must lie in [0, 1]")
+        if not np.abs((diag * diag).sum(axis=0) - 1.0).max() <= 1e-10:
+            raise FormatError("alpha_i^2 + beta_i^2 must equal 1")
         u = np.array(factors)
-        elements = _pair_elements(u[None], np.array([[alphas, betas]]))[0]
+        elements = _pair_elements(u[None], diag[None])[0]
+        gram = elements.conj().swapaxes(-1, -2) @ elements
+        if not np.abs(gram[0] + gram[1] - _eye(k)).max() <= 1e-10:
+            raise FormatError("POVM elements do not sum to the identity")
         u.setflags(write=False)
         elements.setflags(write=False)
         object.__setattr__(self, "u1", u[0])
@@ -309,26 +296,15 @@ def _apply(psi: np.ndarray, groups) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     ``_party_order``), one matmul and one scatter per group measure them,
     whatever their parties. Returns the outcome probabilities (B, 2), the
     probability-zero branches (B, 2) and the outcome states (B, 2, *dims),
-    normalized except on those branches.
+    normalized except on those branches. Only the probabilities' sum is
+    checked: a caller's states and pairs were checked at entry, and the
+    engine's draws are unit states and complete pairs by construction.
     """
     count, dims = len(psi), psi.shape[1:]
-    if not np.isfinite(psi).all():
-        raise FormatError("amplitudes contain non-finite entries")
-    with np.errstate(over="ignore"):
-        norm_sq = (psi.real**2 + psi.imag**2).reshape(count, -1).sum(axis=1)
-    off = np.abs(norm_sq - 1.0) > 1e-9
-    if off.any():
-        raise NormalizationError(f"state has squared norm {norm_sq[off][0]:.6g}, expected 1")
     flat = psi.reshape(count, -1)
     raw = np.empty((count, 2, flat.shape[1]), dtype=complex)
     for parties, rows, elements in groups:
         k = elements.shape[-1]
-        # Checked before the gather: a party of -1 would read the last row.
-        for party in sorted(set(parties.tolist())):
-            if not 0 <= party < len(dims):
-                raise FormatError(f"party {party} out of range")
-            if k != dims[party]:
-                raise FormatError(f"pair acts on dimension {k}, party has {dims[party]}")
         order = _party_order(dims)[parties]
         out = elements @ flat[rows[:, None], order].reshape(len(rows), 1, k, -1)
         raw[rows[:, None, None], _OUTCOMES, order[:, None]] = out.reshape(len(rows), 2, -1)
@@ -399,8 +375,18 @@ def _check(ev: _Evaluated, row: int) -> MonotoneCheck:
     )
 
 
+def _require_fit(psi: StateTensor, pair: PovmPair) -> None:
+    """Check a caller's state and pair once, at entry: a unit state, a party of it of side k."""
+    psi.require_normalized()
+    if not 0 <= pair.party < len(psi.dims):
+        raise FormatError(f"party {pair.party} out of range")
+    if pair.k != psi.dims[pair.party]:
+        raise FormatError(f"pair acts on dimension {pair.k}, party has {psi.dims[pair.party]}")
+
+
 def apply_povm(psi: StateTensor, pair: PovmPair) -> tuple[Outcome, Outcome]:
     """Measure: outcome states element(mu) psi / sqrt(p_mu), p_mu its weight."""
+    _require_fit(psi, pair)
     groups = [(np.array([pair.party]), np.array([0]), pair._elements[None])]
     probabilities, null, states = _apply(psi.amplitudes[None], groups)
     return _outcomes(probabilities, null, states, 0)
@@ -415,6 +401,7 @@ def check_monotone(psi: StateTensor, pair: PovmPair, measure: str) -> MonotoneCh
     measure vanishes identically.
     """
     _measure(measure, psi)
+    _require_fit(psi, pair)
     groups = [(np.array([pair.party]), np.array([0]), pair._elements[None])]
     return _check(_evaluate(measure, psi.amplitudes[None], groups), 0)
 
@@ -441,10 +428,8 @@ def amgm_bound_report(psi: StateTensor, pair: PovmPair, measure: str) -> AmgmBou
     degree = _measure(measure, psi)[2]
     if not pair.is_diagonal_frame():
         raise FormatError("white-box report requires a diagonal-frame pair")
-    psi.require_normalized()
+    _require_fit(psi, pair)
     k = pair.k
-    if k != psi.dims[pair.party]:
-        raise FormatError("pair dimension does not match the measured party")
     z = _block_norms(psi, pair.party)
     alphas = np.asarray(pair.alphas)
     betas = np.asarray(pair.betas)

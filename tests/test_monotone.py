@@ -45,6 +45,9 @@ def test_degenerate_alpha_vector_rejected_by_constructor():
 #: such errors in u1^H u1 and alpha^2 + beta^2 add up beyond it.
 _NEAR = math.sqrt(1 + 0.9e-10)
 
+#: A valid 3x3 pair: identity unitaries, alpha_i = beta_i = 1/sqrt(2).
+_SQ2I_3 = {"u1": np.eye(3), "u2": np.eye(3), "v": np.eye(3), "alphas": (SQ2I,) * 3, "betas": (SQ2I,) * 3}
+
 
 @pytest.mark.parametrize(
     "fields,message",
@@ -62,6 +65,14 @@ _NEAR = math.sqrt(1 + 0.9e-10)
              "betas": (SQ2I * _NEAR,) * 2},
             "POVM elements do not sum to the identity",
         ),
+        # Non-finite or huge factors are named before any product is formed.
+        ({"u1": [[math.nan, 0], [0, 1]]}, "u1 is not unitary within tolerance"),
+        ({"v": [[math.inf, 0], [0, 1]]}, "v is not unitary within tolerance"),
+        ({"u2": [[1, 0], [0, -math.inf]]}, "u2 is not unitary within tolerance"),
+        ({"u1": [[1e200, 0], [0, 1]]}, "u1 is not unitary within tolerance"),  # u1^H u1 would overflow
+        # 3x3: with u2 and v both bad, u2 is named first.
+        ({**_SQ2I_3, "u2": 2 * np.eye(3), "v": 2 * np.eye(3)}, "u2 is not unitary within tolerance"),
+        ({**_SQ2I_3, "v": 2 * np.eye(3)}, "v is not unitary within tolerance"),
     ],
 )
 def test_povm_pair_names_what_it_rejects(fields, message):
@@ -72,20 +83,10 @@ def test_povm_pair_names_what_it_rejects(fields, message):
     assert str(info.value) == message
 
 
-def test_stacked_pairs_name_the_first_bad_factor():
-    from entclass.monotone import _pair_elements
-
-    u = np.tile(np.eye(3, dtype=complex), (4, 3, 1, 1))
-    diag = np.full((4, 2, 3), SQ2I)
-    u[1, 2] *= 2  # v of pair 1
-    u[3, 1] *= 2  # u2 of pair 3
-    with pytest.raises(FormatError, match="^u2 is not unitary"):
-        _pair_elements(u, diag)
-    u[3, 1] /= 2
-    with pytest.raises(FormatError, match="^v is not unitary"):
-        _pair_elements(u, diag)
-    u[1, 2] /= 2
-    assert np.array_equal(_pair_elements(u, diag), np.broadcast_to(SQ2I * np.eye(3), (4, 2, 3, 3)))
+def test_povm_pair_builds_u_diag_v():
+    pair = ec.PovmPair(0, **_SQ2I_3)
+    for mu in (1, 2):
+        assert np.array_equal(pair.element(mu), SQ2I * np.eye(3))
 
 
 def test_degenerate_draws_resampled():
@@ -386,6 +387,13 @@ def test_amgm_rejects_non_diagonal_pair(gen):
         pytest.skip("random draw happened to be diagonal")
     with pytest.raises(FormatError):
         ec.amgm_bound_report(rep("GHZ"), pair, "det222")
+
+
+@pytest.mark.parametrize("party", [-1, 3])
+def test_amgm_rejects_a_party_out_of_range(party):
+    # A party outside the state is rejected, neither read from the end nor past it.
+    with pytest.raises(FormatError, match=f"^party {party} out of range$"):
+        ec.amgm_bound_report(rep("GHZ"), ec.equality_case_povm(2, SQ2I, party=party), "det222")
 
 
 def test_amgm_raises_off_uniform_locus(gen):
