@@ -325,7 +325,7 @@ def concurrence(rho: DensityMatrix | np.ndarray) -> float:
         rho = DensityMatrix(4, rho)
     if rho.dim != 4:
         raise FormatError(f"concurrence requires a 4x4 density matrix, got {rho.dim}")
-    eigs, vecs = np.linalg.eigh(rho.entries)
+    eigs, vecs = rho._eigh
     root = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
     s = np.linalg.svd(root @ SPIN_FLIP @ root.conj(), compute_uv=False)
     return float(max(s[0] - s[1] - s[2] - s[3], 0.0))

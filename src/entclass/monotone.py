@@ -40,7 +40,7 @@ from .numerics import (
     _normalized,
     _substreams,
 )
-from .tensor import StateTensor, _check_int
+from .tensor import StateTensor, _check_int, _frozen
 
 #: measure name -> (evaluator, required dims, homogeneity degree)
 MEASURES = {
@@ -354,13 +354,9 @@ def _evaluate(measure: str, psi: np.ndarray, groups) -> _Evaluated:
 
 
 def _outcomes(probabilities, null, states, row: int) -> tuple[Outcome, Outcome]:
-    dims = states.shape[2:]
     return tuple(
-        Outcome(
-            float(probabilities[row, mu]),
-            None if null[row, mu] else StateTensor(dims, states[row, mu]),
-        )
-        for mu in (0, 1)
+        Outcome(float(p), None if zero else _frozen(StateTensor, states.shape[2:], state.copy()))
+        for p, zero, state in zip(probabilities[row], null[row], states[row])
     )
 
 

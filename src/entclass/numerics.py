@@ -25,7 +25,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import det as _det, qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced
 
 from .errors import AmbiguityError, FormatError
-from .tensor import MAX_LEVELS, StateTensor, _check_int, _checked_dims
+from .tensor import MAX_LEVELS, StateTensor, _check_int, _checked_dims, _frozen
 
 
 #: Distances at most this are zero: a few roundoffs of a unit-norm state.
@@ -93,8 +93,9 @@ def _lapack(gufunc, *operands, signature="D->d", fail=_svd_failed):
     none), as ``invariant_report``'s two SVDs do under one
     ``_errstate(_svd_failed)`` and as ``_haar``'s two QR calls do under one
     ``_errstate(_qr_failed)``; the SVD of R^T R, on a report's first read of
-    it, sets its own. Concurrence, the density check and ``_is_invertible``
-    keep np.linalg's wrapper."""
+    it, sets its own. ``DensityMatrix``'s one eigendecomposition, which its PSD
+    check and ``concurrence`` share, and ``_is_invertible`` keep np.linalg's
+    wrapper."""
     if fail is None:
         return gufunc(*operands, signature=signature)
     with _errstate(fail):
@@ -242,4 +243,4 @@ def random_state(
     """
     dims = _checked_dims(dims)  # a zero dimension would redraw forever
     x, sq = _draw_state(_as_generator(rng), math.prod(dims))
-    return StateTensor(dims, _normalized(x, sq))
+    return _frozen(StateTensor, dims, _normalized(x, sq).reshape(dims))  # a unit draw

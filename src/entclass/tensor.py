@@ -103,13 +103,14 @@ def _check_values(amps: np.ndarray) -> None:
         raise ZeroStateError("the zero tensor is not a state")
 
 
-def _frozen_state(dims: tuple[int, ...], amps: np.ndarray) -> "StateTensor":
-    """A state around a fresh complex array of shape ``dims`` that its caller
-    owns and has checked: frozen in place, not copied or checked again."""
-    amps.setflags(write=False)
-    psi = object.__new__(StateTensor)
-    vars(psi).update(dims=dims, amplitudes=amps)
-    return psi
+def _frozen(cls, size, array: np.ndarray):
+    """A ``StateTensor`` (dims ``size``) or ``DensityMatrix`` (dim ``size``) around a fresh
+    complex array its caller owns, frozen in place. The constructors check outside input;
+    a value built in-house is checked only for the faults its construction can produce."""
+    array.setflags(write=False)
+    value = object.__new__(cls)
+    vars(value).update(zip(cls.__dataclass_fields__, (size, array)))
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +160,7 @@ class StateTensor:
     def normalize(self) -> "StateTensor":
         # The unit array is fresh, finite, nonzero and of this shape (the scaling is
         # exact and the norm it divides by is >= 1/2): frozen, not validated again.
-        return _frozen_state(self.dims, _unit_and_norm(self.amplitudes)[0])
+        return _frozen(StateTensor, self.dims, _unit_and_norm(self.amplitudes)[0])
 
     def require_normalized(self) -> None:
         """Raise unless the squared norm is within 1e-9 of 1."""
@@ -225,7 +226,8 @@ class LocalOperation:
                 raise FormatError(
                     f"factor shapes {mine.shape} and {theirs.shape} do not chain"
                 )
-            composed.append(mine @ theirs)
+            with np.errstate(over="ignore", invalid="ignore"):  # _as_factor rejects non-finite
+                composed.append(mine @ theirs)
         return LocalOperation(tuple(composed))
 
     def __repr__(self) -> str:
@@ -245,17 +247,24 @@ class DensityMatrix:
         rho = np.asarray(self.entries, dtype=complex)
         if rho.shape != (dim, dim):
             raise FormatError(f"density matrix shape {rho.shape} != ({dim}, {dim})")
-        scale = max(1.0, float(np.abs(rho).max()))
-        if np.abs(rho - rho.conj().T).max() > 1e-12 * scale:
-            raise FormatError("density matrix is not Hermitian within tolerance")
+        tol = 1e-12 * max(1.0, float(np.abs(rho).max()))
+        if (deviation := np.abs(rho - rho.conj().T).max()) > tol:
+            raise FormatError(
+                "density matrix is not Hermitian within tolerance: "
+                f"max |rho - rho^H| = {deviation:.6g} > {tol:.6g}"
+            )
         if abs(np.trace(rho).real - 1.0) > 1e-9 or abs(np.trace(rho).imag) > 1e-12:
             raise FormatError(f"density matrix trace {np.trace(rho):.6g} != 1")
-        if np.linalg.eigvalsh(rho).min() < -1e-10:
-            raise FormatError("density matrix has a negative eigenvalue")
         rho = rho.copy()
         rho.setflags(write=False)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "entries", rho)
+        if (lowest := self._eigh[0][0]) < -1e-10:
+            raise FormatError(f"density matrix has a negative eigenvalue: {lowest:.6g} < -1e-10")
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.entries)
 
 
 def make_state(
@@ -287,7 +296,7 @@ def make_state(
         seen.add(idx)
         amps[idx] = complex(value)
     _check_values(amps)
-    return _frozen_state(dims, amps)
+    return _frozen(StateTensor, dims, amps)
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -347,27 +356,32 @@ def apply_local(operation: LocalOperation, psi: StateTensor) -> StateTensor:
             f"{psi.party_count}-party state"
         )
     out = psi.amplitudes
-    for axis, factor in enumerate(operation.factors):
-        if factor.shape[1] != psi.dims[axis]:
-            raise FormatError(
-                f"factor {axis} has shape {factor.shape}, party dimension is "
-                f"{psi.dims[axis]}"
-            )
-        moved = out.transpose(axis, *range(axis), *range(axis + 1, out.ndim))
-        product = np.dot(factor, moved.reshape(moved.shape[0], -1))
-        back = (*range(1, axis + 1), 0, *range(axis + 1, out.ndim))
-        out = product.reshape(factor.shape[0], *moved.shape[1:]).transpose(back)
-    if not out.any():
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below raises
+        for axis, factor in enumerate(operation.factors):
+            if factor.shape[1] != psi.dims[axis]:
+                raise FormatError(
+                    f"factor {axis} has shape {factor.shape}, party dimension is "
+                    f"{psi.dims[axis]}"
+                )
+            moved = out.transpose(axis, *range(axis), *range(axis + 1, out.ndim))
+            product = np.dot(factor, moved.reshape(moved.shape[0], -1))
+            back = (*range(1, axis + 1), 0, *range(axis + 1, out.ndim))
+            out = product.reshape(factor.shape[0], *moved.shape[1:]).transpose(back)
+    if not out.any():  # before the ratio below, whose divisor a zero factor makes 0
         raise AnnihilationError("local operation annihilated the state")
-    result = StateTensor(out.shape, out)
+    if max(out.shape) > MAX_LEVELS:  # a nonzero result has no zero dim
+        raise FormatError(f"dims {out.shape} exceed the per-party cap {MAX_LEVELS}")
+    if not np.isfinite(out).all():  # large factors can overflow
+        raise FormatError("amplitudes contain non-finite entries")
+    out = np.ascontiguousarray(out)  # _scaled_norm reads it as floats
     # ||out|| <= 1e-14 ||psi|| prod ||M_i||_F, as m * 2**e: no product overflows.
-    m, e = _scaled_norm(result.amplitudes)[3:]
+    m, e = _scaled_norm(out)[3:]
     for a in (psi.amplitudes, *operation.factors):
         m_a, e_a = _scaled_norm(a)[3:]
         m, e = m / m_a, e - e_a
     if math.ldexp(m, e) <= 1e-14:
         raise AnnihilationError("local operation annihilated the state")
-    return result
+    return _frozen(StateTensor, out.shape, out)
 
 
 def reduced_density(psi: StateTensor, party: int, *more: int) -> DensityMatrix:
@@ -385,4 +399,4 @@ def reduced_density(psi: StateTensor, party: int, *more: int) -> DensityMatrix:
     psi.require_normalized()
     moved = psi.amplitudes.transpose(*kept, *(p for p in range(n) if p not in kept))
     a = moved.reshape(math.prod(moved.shape[: len(kept)]), -1)
-    return DensityMatrix(a.shape[0], a @ a.conj().T)
+    return _frozen(DensityMatrix, a.shape[0], a @ a.conj().T)  # a Gram: Hermitian and PSD

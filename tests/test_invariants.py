@@ -349,7 +349,7 @@ def test_concurrence_product_state():
 
 def test_concurrence_rejects_non_psd():
     rho = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="^density matrix has a negative eigenvalue: -0.5 "):
         ec.concurrence(rho)
 
 

@@ -19,8 +19,10 @@ POLICY = ec.DEFAULT_POLICY
 def counted(monkeypatch):
     """Count the kernel's LAPACK gufunc calls at ``invariants._lapack``, by
     gufunc name, the np.linalg wrappers the kernel no longer calls, and
-    apply_local calls through any binding, and np.errstate entries."""
+    apply_local calls through any binding, np.errstate entries and runs of
+    the validating ``StateTensor`` constructor."""
     counts = dict.fromkeys(["svd_s", "svd", "eigvalsh_lo", "det", "apply_local", "errstate"], 0)
+    counts["StateTensor"] = 0
     counts.update({f"np.linalg.{name}": 0 for name in ("svd", "eigvalsh", "eigh", "det")})
 
     def counting(name, fn):
@@ -46,6 +48,8 @@ def counted(monkeypatch):
     monkeypatch.setattr(np, "errstate", CountingErrstate)
     for name in ("svd", "eigvalsh", "eigh", "det"):
         monkeypatch.setattr(np.linalg, name, counting(f"np.linalg.{name}", getattr(np.linalg, name)))
+    check = ec.StateTensor.__post_init__
+    monkeypatch.setattr(ec.StateTensor, "__post_init__", counting("StateTensor", check))
     original = ec.tensor.apply_local
     wrapped = counting("apply_local", original)
     for name, module in list(sys.modules.items()):
@@ -78,7 +82,7 @@ def test_classify_call_budget(label, n, counted):
 
 def test_ckw_residual_call_budget(counted, gen):
     # The monogamy terms come from the amplitudes on Python numbers: no
-    # LAPACK call, no np.linalg call (a DensityMatrix's check makes one) and
+    # LAPACK call, no np.linalg call (a DensityMatrix's eigh is one) and
     # no errstate.
     states = [ec.representative(label, 2) for label in ("GHZ", "W")]
     states += [ec.random_state((2, 2, 2), gen) for _ in range(5)]
@@ -86,6 +90,38 @@ def test_ckw_residual_call_budget(counted, gen):
     for psi in states:
         ec.ckw_residual(psi)
     assert counted == before
+
+
+def test_density_eigendecomposition_budget(counted, gen):
+    # A DensityMatrix takes one eigendecomposition, which its PSD check and
+    # concurrence share; reduced_density's Gram takes none until read.
+    def eigendecompositions():
+        return counted["np.linalg.eigh"] + counted["np.linalg.eigvalsh"] + counted["eigvalsh_lo"]
+
+    v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    bell, psi = np.outer(v, v.conj()), ec.random_state((2, 2, 3), gen)
+    assert eigendecompositions() == 0
+    ec.concurrence(bell)
+    assert eigendecompositions() == 1
+    rho = ec.reduced_density(psi, 0, 1)
+    assert eigendecompositions() == 1
+    ec.concurrence(rho)
+    assert eigendecompositions() == 2
+
+
+def test_in_house_states_skip_the_validating_constructor(counted, gen):
+    # States the package builds itself are checked for the faults their
+    # construction can produce and frozen, not validated a second time.
+    psi = ec.random_state((2, 2, 3), gen)
+    op = ec.LocalOperation(tuple(ec.random_sl(k, gen) for k in psi.dims))
+    pair = ec.random_povm_pair(3, gen, party=2)
+    assert counted["StateTensor"] == 0
+    ec.apply_local(op, psi)
+    ec.random_state((2, 2, 3), gen)
+    ec.apply_povm(psi, pair)
+    ec.check_monotone(psi, pair, "det223")
+    ec.monotone_trial("det223", 20243, 393)
+    assert counted["StateTensor"] == 0
 
 
 def dressed_states(count_per_class, seed, max_cond=10.0):

@@ -222,6 +222,37 @@ def test_apply_local_annihilation_is_an_error():
         ec.apply_local(ones, psi)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (0, 2)])
+def test_apply_local_zero_factor_annihilates(shape):
+    # A zero factor, or one with no output level, leaves an exact zero: it is
+    # annihilated before any norm ratio divides by that factor's norm.
+    psi = ec.representative("GHZ", 2)
+    op = ec.LocalOperation.single_party(psi.dims, 0, np.zeros(shape))
+    with pytest.raises(AnnihilationError, match=ANNIHILATED):
+        ec.apply_local(op, psi)
+
+
+def test_apply_local_output_dims_capped():
+    psi = ec.representative("GHZ", 2)
+    op = ec.LocalOperation.single_party(psi.dims, 0, np.ones((17, 2)))
+    with pytest.raises(FormatError, match=r"^dims \(17, 2, 2\) exceed the per-party cap 16$"):
+        ec.apply_local(op, psi)
+
+
+def test_apply_local_overflow_is_a_format_error():
+    # The product overflows to inf; it once escaped as a RuntimeWarning.
+    psi = ec.StateTensor((2, 2, 2), pattern("GHZ") * 1e200)
+    op = ec.LocalOperation.single_party(psi.dims, 0, np.diag([1e200, 1e200]))
+    with pytest.raises(FormatError, match="^amplitudes contain non-finite entries$"):
+        ec.apply_local(op, psi)
+
+
+def test_local_operation_after_overflow_is_a_format_error():
+    big = ec.LocalOperation.single_party((2, 2, 2), 0, np.diag([1e200, 1e200]))
+    with pytest.raises(FormatError, match="^local factor contains non-finite entries$"):
+        big.after(big)
+
+
 def tensordot_reference(operation, psi) -> np.ndarray:
     """The contraction ``apply_local`` makes, written with tensordot."""
     out = psi.amplitudes
@@ -340,8 +371,9 @@ def test_reduced_density_rejects_unnormalized():
 
 
 def test_reduced_density_random_states_valid(gen):
-    # Hermitian, unit trace, PSD for a broad random sample (validated in
-    # the DensityMatrix constructor).
+    # Hermitian, unit trace, PSD for a broad random sample. reduced_density
+    # builds a Gram matrix, which the DensityMatrix constructor does not
+    # check again, so this test checks all three.
     for _ in range(1000):
         n = int(gen.integers(2, 6))
         psi = ec.random_state((2, 2, n), gen)
@@ -349,6 +381,7 @@ def test_reduced_density_random_states_valid(gen):
         rho = ec.reduced_density(psi, party)
         assert abs(np.trace(rho.entries) - 1) < 1e-12
         assert np.abs(rho.entries - rho.entries.conj().T).max() < 1e-12
+        assert np.linalg.eigvalsh(rho.entries).min() >= -1e-10
 
 
 @pytest.mark.parametrize("bad", [True, 1.7, "2", np.array(1)], ids=repr)
@@ -391,6 +424,19 @@ def test_reduced_density_is_the_moved_axis_gram():
     # Keeping every party traces nothing out: |psi><psi|.
     v = psi.amplitudes.ravel()
     assert np.allclose(ec.reduced_density(psi, 0, 1, 2).entries, np.outer(v, v.conj()), rtol=0, atol=1e-15)
+
+
+def test_density_matrix_names_its_hermitian_deviation():
+    rho = np.array([[0.5, 0.25], [0.0, 0.5]])
+    message = r"^density matrix is not Hermitian within tolerance: max \|rho - rho\^H\| = 0.25 > 1e-12$"
+    with pytest.raises(FormatError, match=message):
+        ec.DensityMatrix(2, rho)
+
+
+def test_density_matrix_names_its_negative_eigenvalue():
+    rho = np.diag([1.5, -0.5])
+    with pytest.raises(FormatError, match="^density matrix has a negative eigenvalue: -0.5 < -1e-10$"):
+        ec.DensityMatrix(2, rho)
 
 
 @pytest.mark.parametrize("bad", [2.9, True, "2", 2.0], ids=repr)
