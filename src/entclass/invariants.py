@@ -22,7 +22,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import det as _det, eigvalsh_lo as _eigvalsh_lo, svd as _svd, svd_s as _svd_s
 
 from .errors import FormatError, NumericalInstabilityError
-from .numerics import DEFAULT_POLICY, ZERO_FLOOR, TolerancePolicy, _eig_failed, _errstate, _lapack, _svd_failed
+from .numerics import DEFAULT_POLICY, ZERO_FLOOR, TolerancePolicy, _errstate, _lapack
 from .tensor import DensityMatrix, StateTensor, _check_int, _unit_and_norm
 
 #: The magic-basis transform: the fixed 4x4 unitary realizing the
@@ -101,7 +101,9 @@ class InvariantReport:
     def __getattr__(self, name):  # only fields not yet set reach here
         if name not in ("rank_rtr", "singular_values_rtr"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        svals = tuple(_lapack(_svd, _rtr(self._flat)).tolist())
+        rtr = _rtr(self._flat)
+        with _errstate("SVD did not converge"):
+            svals = tuple(_lapack(_svd, rtr).tolist())
         object.__setattr__(self, "singular_values_rtr", svals)
         object.__setattr__(self, "rank_rtr", sum(x > self.tolerances.distance_eps for x in svals))
         return vars(self)[name]
@@ -189,8 +191,11 @@ def _local_spectra(f: np.ndarray, pair: np.ndarray, singular, policy: ToleranceP
     >= 1/k, so delta >= 8 eps > t^2 for every allowed t <= 1e-8."""
     grams = (pair @ pair.conj().transpose(0, 2, 1)).tolist()
     rho = f.T @ f.conj()  # Clare's reduced density, transposed
-    clare = (_qubit_spectrum(rho.tolist()) if len(rho) == 2
-             else _lapack(_eigvalsh_lo, rho, fail=_eig_failed).tolist())
+    if len(rho) == 2:
+        clare = _qubit_spectrum(rho.tolist())
+    else:
+        with _errstate("Eigenvalues did not converge"):
+            clare = _lapack(_eigvalsh_lo, rho).tolist()
     density = [*map(_qubit_spectrum, grams), clare]
     thr_sq = policy.distance_eps**2
     ranks, kept = [], math.inf
@@ -307,7 +312,7 @@ def _det223(a: np.ndarray):
     """``det223`` on (..., 2, 2, 3) amplitudes: one stacked determinant call
     over the four row selections of every state."""
     minors = a.reshape(a.shape[:-3] + (4, 3)).take(_DET223_ROWS, axis=-2)
-    d = _lapack(_det, minors, signature="D->D", fail=None)
+    d = _lapack(_det, minors, signature="D->D")
     d = d.transpose(d.ndim - 1, *range(d.ndim - 1))  # np.moveaxis(d, -1, 0)
     return d[0] * d[1] - d[2] * d[3]
 
@@ -400,9 +405,9 @@ def invariant_report(
     amps, norm = _unit_and_norm(psi.amplitudes)
     f = amps.reshape(4, -1)
     pair = np.concatenate((amps, amps.transpose(1, 0, 2))).reshape(2, 2, -1)
-    with _errstate(_svd_failed):  # the gufunc calls only
-        u, s, _ = _lapack(_svd_s, f, signature="D->DdD", fail=None)
-        singular = _lapack(_svd, pair, fail=None).tolist()
+    with _errstate("SVD did not converge"):
+        u, s, _ = _lapack(_svd_s, f, signature="D->DdD")
+        singular = _lapack(_svd, pair).tolist()
     ranks, kept = _local_spectra(f, pair, singular + [s.tolist()], policy)
     distances = {"local_ranks": kept}
     # Adjusted states have unit norm, up to the dropped sub-threshold weight.

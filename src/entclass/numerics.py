@@ -12,7 +12,13 @@ key fully determines the stream on every platform and numpy release that
 ships Philox, which makes Monte-Carlo aggregates seed-deterministic and
 embarrassingly parallel. A generator's state is set to the one
 ``Philox(key=[seed, stream])`` starts in, so building it reads no OS entropy.
-``_lapack``, the library's one route to LAPACK, also draws the QRs.
+
+LAPACK: ``_lapack`` calls one of np.linalg's gufuncs and does nothing else.
+Each block of such calls that np.linalg checks (an invariant report's SVDs,
+the SVD of its R^T R, Clare's eigvalsh, a Haar draw's two QR calls) runs in
+one ``with _errstate(message)`` that covers those calls alone; det runs in
+the caller's errstate, as np.linalg.det does. ``DensityMatrix``,
+``concurrence`` and ``_is_invertible`` call np.linalg itself.
 """
 
 from __future__ import annotations
@@ -66,40 +72,20 @@ def _check_key(name: str, value) -> int:
     return value
 
 
-def _svd_failed(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge")
-
-
-def _eig_failed(err, flag):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-
-def _qr_failed(err, flag):
-    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
-
-
-def _errstate(fail):
-    """The errstate np.linalg sets around a LAPACK gufunc: ``fail`` is called
-    when it sets the invalid flag; overflow, division and underflow pass."""
+def _errstate(message: str):
+    """The errstate np.linalg sets around its LAPACK gufuncs: the invalid flag,
+    which a gufunc sets when it fails, raises ``LinAlgError(message)``;
+    overflow, division and underflow pass."""
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(message)
     return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
-def _lapack(gufunc, *operands, signature="D->d", fail=_svd_failed):
-    """``gufunc(*operands, signature=signature)`` for one of np.linalg's own
-    LAPACK gufuncs under ``_errstate(fail)``: np.linalg's bits and errors,
-    without its per-call array, shape and dtype checks, which cost as much as
-    the call on the library's small complex inputs. ``fail=None`` sets no
-    errstate: the call runs in the caller's, as det does (np.linalg.det sets
-    none), as ``invariant_report``'s two SVDs do under one
-    ``_errstate(_svd_failed)`` and as ``_haar``'s two QR calls do under one
-    ``_errstate(_qr_failed)``; the SVD of R^T R, on a report's first read of
-    it, sets its own. ``DensityMatrix``'s one eigendecomposition, which its PSD
-    check and ``concurrence`` share, and ``_is_invertible`` keep np.linalg's
-    wrapper."""
-    if fail is None:
-        return gufunc(*operands, signature=signature)
-    with _errstate(fail):
-        return gufunc(*operands, signature=signature)
+def _lapack(gufunc, *operands, signature="D->d"):
+    """One of np.linalg's own LAPACK gufuncs, in the caller's errstate: its bits,
+    without np.linalg's per-call array, shape and dtype checks, which cost as
+    much as the call on the library's small complex inputs."""
+    return gufunc(*operands, signature=signature)
 
 
 @dataclass(frozen=True)
@@ -122,9 +108,7 @@ class RandomSource:
         """The draws of ``Generator(Philox(key=[seed, stream]))``. Like it,
         its ``spawn`` raises TypeError: the seed sequence it holds makes no
         children, so no two generators share spawn state."""
-        gen = np.random.Generator(np.random.Philox(_fixed_seed()))
-        gen.bit_generator.state = _philox_state(self.seed, self.stream)
-        return gen
+        return next(_substreams(self.seed, (self.stream,)))
 
 
 @functools.cache
@@ -137,13 +121,6 @@ def _fixed_seed():
             return np.zeros(n_words, dtype)
 
     return FixedSeed()
-
-
-def _philox_state(seed: int, stream: int) -> dict:
-    """The state ``Philox(key=[seed, stream])`` starts in, as Python ints,
-    which the state setter reads twice as fast as uint64 arrays."""
-    return {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [seed, stream]},
-            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def _as_generator(rng: RandomSource | np.random.Generator) -> np.random.Generator:
@@ -170,25 +147,30 @@ def random_sl(k: int, rng: RandomSource | np.random.Generator) -> np.ndarray:
     so the branch choice is immaterial beyond determinism.
     """
     _check_k("random_sl", k, 2)
-    gen = _as_generator(rng)
+    gen, largest = _as_generator(rng), 0.0
     for _ in range(100):
         m = (gen.standard_normal((k, k)) + 1j * gen.standard_normal((k, k))) / np.sqrt(2)
-        det = complex(_lapack(_det, m, signature="D->D", fail=None))
+        det = complex(_lapack(_det, m, signature="D->D"))
         if abs(det) >= 1e-12:
             return m * det ** (-1.0 / k)
-    raise RuntimeError("could not draw a nonsingular matrix in 100 attempts")
+        largest = max(largest, abs(det))
+    raise RuntimeError(
+        f"could not draw a nonsingular matrix in 100 attempts: largest |det| {largest:.3g} < 1e-12")
 
 
 def _substreams(seed: int, streams):
     """One generator rekeyed to (seed, s) for each stream s in turn.
 
-    It yields the draws of ``RandomSource(seed, s).generator()``; rekeying one
+    It yields the draws of ``Generator(Philox(key=[seed, s]))``; rekeying one
     Philox on ``_fixed_seed`` is cheaper than building a generator per
     stream. The seed and each stream are checked as ``RandomSource`` does.
     """
     gen = np.random.Generator(np.random.Philox(_fixed_seed()))
-    state = _philox_state(_check_key("seed", seed), 0)
-    key = state["state"]["key"]
+    # The state Philox(key=[seed, stream]) starts in, as Python ints, which
+    # the state setter reads twice as fast as uint64 arrays.
+    key = [_check_key("seed", seed), 0]
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for stream in streams:
         key[1] = _check_key("stream", stream)
         gen.bit_generator.state = state
@@ -200,9 +182,9 @@ def _haar(normals: np.ndarray) -> np.ndarray:
     one QR over the whole stack, as np.linalg.qr makes it, its two gufunc
     calls under one errstate, then the phase fix."""
     z = (normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / math.sqrt(2.0)
-    with _errstate(_qr_failed):
-        tau = _lapack(_qr_r_raw, z, signature="D->D", fail=None)  # R into z's upper triangle
-        q = _lapack(_qr_reduced, z, tau, signature="DD->D", fail=None)
+    with _errstate("Incorrect argument found while performing QR factorization"):
+        tau = _lapack(_qr_r_raw, z, signature="D->D")  # R into z's upper triangle
+        q = _lapack(_qr_reduced, z, tau, signature="DD->D")
     d = np.diagonal(z, axis1=-2, axis2=-1).copy()
     d[np.abs(d) < 1e-300] = 1.0
     return q * (d / np.abs(d))[..., None, :]

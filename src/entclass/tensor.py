@@ -243,10 +243,13 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        dim = _check_int("density matrix dimension", self.dim, FormatError)
+        if (dim := _check_int("density matrix dimension", self.dim, FormatError)) < 1:
+            raise FormatError(f"density matrix dimension must be at least 1, got {dim}")
         rho = np.asarray(self.entries, dtype=complex)
         if rho.shape != (dim, dim):
             raise FormatError(f"density matrix shape {rho.shape} != ({dim}, {dim})")
+        if not np.isfinite(rho).all():
+            raise FormatError("density matrix contains non-finite entries")
         tol = 1e-12 * max(1.0, float(np.abs(rho).max()))
         if (deviation := np.abs(rho - rho.conj().T).max()) > tol:
             raise FormatError(

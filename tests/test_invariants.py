@@ -18,7 +18,7 @@ import pytest
 from numpy.linalg import _umath_linalg
 
 import entclass as ec
-from entclass import invariants, numerics
+from entclass import invariants
 from entclass.errors import AmbiguityError, FormatError, NumericalInstabilityError
 
 from conftest import ALL_LABELS, natural_n, random_invertible_op, rep
@@ -353,6 +353,12 @@ def test_concurrence_rejects_non_psd():
         ec.concurrence(rho)
 
 
+def test_concurrence_rejects_non_finite_entries():
+    # A NaN density once reached eigh, whose bare LinAlgError named no input.
+    with pytest.raises(FormatError, match="^density matrix contains non-finite entries$"):
+        ec.concurrence(np.full((4, 4), np.nan))
+
+
 def test_concurrence_agrees_with_purification_rtr(gen):
     # The concurrence spectrum of tr_3 |psi><psi| equals the singular values
     # of R^T R of the purification, so they give its concurrence.
@@ -623,12 +629,10 @@ def test_invariant_reports_match_parent_digests():
 
 def test_lapack_failure_raises_numpys_error():
     # sqrt(-1) sets the invalid flag, as a gufunc that did not converge does.
-    with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
-        invariants._lapack(np.sqrt, np.array([-1.0]), signature="d->d")
-    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
-        invariants._lapack(np.sqrt, np.array([-1.0]), signature="d->d", fail=invariants._eig_failed)
-    with pytest.raises(np.linalg.LinAlgError, match="^Incorrect argument found while performing QR"):
-        invariants._lapack(np.sqrt, np.array([-1.0]), signature="d->d", fail=numerics._qr_failed)
+    for message in ("SVD did not converge", "Eigenvalues did not converge",
+                    "Incorrect argument found while performing QR factorization"):
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"), invariants._errstate(message):
+            invariants._lapack(np.sqrt, np.array([-1.0]), signature="d->d")
 
 
 def _failing_lapack(position, monkeypatch):
@@ -684,7 +688,7 @@ def test_invalid_value_outside_the_block_is_no_lapack_error(monkeypatch):
         ec.invariant_report(rep("GHZ"))
 
 
-def _public_lapack(gufunc, a, signature="D->d", fail=None):
+def _public_lapack(gufunc, a, signature="D->d"):
     """The np.linalg call that wraps each gufunc the kernel calls directly."""
     return {
         "svd_s": lambda: np.linalg.svd(a, full_matrices=False),

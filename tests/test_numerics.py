@@ -97,6 +97,54 @@ def test_random_sl_group_closure(gen):
     assert abs(np.linalg.det(m) - 1.0) < 1e-9
 
 
+def test_random_sl_names_the_largest_determinant(monkeypatch):
+    monkeypatch.setattr(ec.numerics, "_lapack", lambda gufunc, m, signature: np.zeros((), complex))
+    message = r"^could not draw a nonsingular matrix in 100 attempts: largest \|det\| 0 < 1e-12$"
+    with pytest.raises(RuntimeError, match=message):
+        ec.random_sl(2, ec.RandomSource(1))
+
+
+def _failing_lapack(position, monkeypatch):
+    """Patch ``numerics._lapack`` so that its ``position``-th call (1-based)
+    runs the real gufunc and then sets the invalid flag, as a gufunc that did
+    not converge does; returns the gufunc names called, in order."""
+    lapack, names = ec.numerics._lapack, []
+
+    def counted(gufunc, *operands, **kwargs):
+        names.append(gufunc.__name__)
+        out = lapack(gufunc, *operands, **kwargs)
+        if len(names) == position:
+            np.sqrt(np.array([-1.0]))
+        return out
+
+    monkeypatch.setattr(ec.numerics, "_lapack", counted)
+    return names
+
+
+@pytest.mark.parametrize("position", [1, 2])
+@pytest.mark.parametrize(
+    "draw",
+    [lambda: ec.random_unitary(3, ec.RandomSource(1)), lambda: ec.monte_carlo("det222", 4, seed=1)],
+    ids=["random_unitary", "monte_carlo"],
+)
+def test_each_qr_of_the_haar_block_raises_on_the_invalid_flag(draw, position, monkeypatch):
+    names = _failing_lapack(position, monkeypatch)
+    with pytest.raises(np.linalg.LinAlgError, match="^Incorrect argument found while performing QR factorization$"):
+        draw()
+    assert names == ["qr_r_raw", "qr_reduced"][:position]
+
+
+def test_invalid_flag_in_random_sls_det_is_no_lapack_error(monkeypatch):
+    # det runs in the caller's errstate, as np.linalg.det does.
+    expected = ec.random_sl(2, ec.RandomSource(1))
+    names = _failing_lapack(1, monkeypatch)
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        ec.random_sl(2, ec.RandomSource(1))
+    with np.errstate(invalid="ignore"):
+        assert ec.random_sl(2, ec.RandomSource(1)).tobytes() == expected.tobytes()
+    assert names == ["det", "det"]
+
+
 def test_random_unitary_scalar_case(gen):
     u = ec.random_unitary(1, gen)
     assert abs(abs(u[0, 0]) - 1.0) < 1e-12

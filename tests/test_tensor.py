@@ -439,6 +439,22 @@ def test_density_matrix_names_its_negative_eigenvalue():
         ec.DensityMatrix(2, rho)
 
 
+@pytest.mark.parametrize(
+    "rho", [np.full((2, 2), np.nan), np.array([[0.5, np.inf], [np.inf, 0.5]])], ids=["nan", "inf"]
+)
+def test_density_matrix_rejects_non_finite_entries(rho):
+    # NaN passed every check; inf escaped the Hermitian check as a RuntimeWarning.
+    with pytest.raises(FormatError, match="^density matrix contains non-finite entries$"):
+        ec.DensityMatrix(2, rho)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_density_matrix_rejects_a_dim_below_one(dim):
+    # Dimension 0 once reached max() of an empty array, a bare ValueError.
+    with pytest.raises(FormatError, match=f"^density matrix dimension must be at least 1, got {dim}$"):
+        ec.DensityMatrix(dim, np.zeros((0, 0)))
+
+
 @pytest.mark.parametrize("bad", [2.9, True, "2", 2.0], ids=repr)
 def test_density_matrix_rejects_a_non_integer_dim(bad):
     # int() once truncated 2.9 to 2.
